@@ -84,14 +84,16 @@ def make_stripes(n: int, axis: str) -> Coloring:
     return Coloring(n, cells)
 
 
-def random_cell_values(seed: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def random_cell_values(seed: int | np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Values make_random(n, seed) would assign at cells (i, j), computed directly.
 
     Counter-based: each cell's sign is a pure function of (seed, i, j), so any
-    subset of cells can be generated without materializing the board.
+    subset of cells can be generated without materializing the board.  `seed`
+    may also be an array of integer seeds, broadcast against i and j.
     """
     ctr = (np.asarray(i, dtype=np.uint64) << np.uint64(32)) + np.asarray(j, dtype=np.uint64) + np.uint64(1)
-    h = _mix64_u64(np.uint64(seed & _MASK64) ^ _mix64_u64(ctr))
+    seeds = np.asarray(np.asarray(seed, dtype=object) & _MASK64, dtype=np.uint64)
+    h = _mix64_u64(seeds ^ _mix64_u64(ctr))
     return np.where((h >> np.uint64(63)) == 0, 1.0, -1.0)
 
 

@@ -35,9 +35,15 @@ from .board import (
 )
 from .geom import Segment, cell_crossings, integrate, integrate_mc
 from .radon import Chord, Direction, project
-from .search import best_chord, brute_force, default_angles, scan_report
+from .search import best_chord, brute_force, scan_report
 from .spectral import certified_lower_bound, line_energy, slice_residual, tail_energy
-from .verify import hoeffding_tail, lower_bound_scan, perturbation_check, upper_bound_scan
+from .verify import (
+    hoeffding_tail,
+    lower_bound_scan,
+    lower_scan_angles,
+    perturbation_check,
+    upper_bound_scan,
+)
 
 _SCHEMA = "needleboard/1"
 
@@ -59,7 +65,19 @@ def _segment_arg(text: str) -> Segment:
         ax, ay, bx, by = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"segment {text!r} has a non-numeric part")
+    if not all(math.isfinite(v) for v in (ax, ay, bx, by)):
+        raise argparse.ArgumentTypeError(f"segment {text!r} has a non-finite part")
     return Segment((ax, ay), (bx, by))
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
 
 
 def _float_list_arg(text: str) -> tuple[float, ...]:
@@ -234,7 +252,7 @@ def _cmd_search(args) -> int:
     if args.oracle:
         rep = brute_force(c)
     else:
-        rep = scan_report(c, angles=args.angles, refine=args.refine, threads=args.threads)
+        rep = scan_report(c, angles=args.angles, threads=args.threads)
     _emit_json(args, _report_dict(rep))
     if args.svg:
         with open(args.svg, "w", encoding="ascii", newline="") as fh:
@@ -245,8 +263,8 @@ def _cmd_search(args) -> int:
 def _cmd_certify(args) -> int:
     c = _read_board(args.board)
     bound, radius = certified_lower_bound(c)
-    angles = min(default_angles(c.n), 1024)
-    ch, vc = best_chord(c, angles=angles, refine=2, threads=args.threads)
+    angles = lower_scan_angles(c.n)
+    ch, vc = best_chord(c, angles=angles, threads=args.threads)
     _emit_json(args, {
         "certificate": bound,
         "radius": radius,
@@ -326,7 +344,7 @@ def _cmd_verify_lower(args) -> int:
 def _cmd_verify_upper(args) -> int:
     rep = upper_bound_scan(
         args.ns, trials=args.trials, seed=args.seed, angles=args.angles,
-        refine=args.refine, threads=args.threads,
+        threads=args.threads,
     )
     if args.format == "csv":
         rows = []
@@ -362,9 +380,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument(
             "--threads",
-            type=int,
-            default=int(os.environ.get("NEEDLEBOARD_THREADS", "1")),
-            help="direction-scan worker threads (results are thread-count independent)",
+            type=_positive_int,
+            default=None,
+            help="direction-scan worker threads, default $NEEDLEBOARD_THREADS or 1 "
+                 "(results are thread-count independent)",
         )
         if board:
             p.add_argument("--board", required=True, help="board text file")
@@ -396,8 +415,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("search", help="maximize chord and segment discrepancy")
     common(p, board=True)
     p.add_argument("--angles", type=int, default=None,
-                   help="scan width (default min(8 n^2, 200000))")
-    p.add_argument("--refine", type=int, default=3)
+                   help="direction budget: scan this many primitive lattice directions, "
+                        "shortest first (default min(8 n^2, 200000), all of them "
+                        "for n <= 405)")
     p.add_argument("--oracle", action="store_true",
                    help="use the exact lattice-direction oracle (n <= 16)")
     p.add_argument("--svg", help="also render board + best segment to this file")
@@ -436,8 +456,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--ns", type=_int_list_arg, default=(8, 16, 32))
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--angles", type=int, default=None)
-    p.add_argument("--refine", type=int, default=2)
+    p.add_argument("--angles", type=int, default=None,
+                   help="direction budget per n (default min(8 n^2, 256))")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_verify_upper)
 
@@ -456,6 +476,12 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.threads is None:
+        try:
+            args.threads = _positive_int(os.environ.get("NEEDLEBOARD_THREADS", "1"))
+        except argparse.ArgumentTypeError as exc:
+            sys.stderr.write(f"needleboard: NEEDLEBOARD_THREADS: {exc}\n")
+            return 1
     try:
         return args.func(args)
     except BoardFormatError as exc:

@@ -1,12 +1,13 @@
 """Global maximization of chord and sub-segment discrepancy over directions.
 
-Two routes exist on purpose.  best_chord / best_segment sweep a dense angle
-grid with a vectorized per-direction evaluation (every critical offset at
-once), refine the winner by golden-section in the angle, and then recompute
-the winning direction through the scalar radon path so the reported witness
-is exact.  brute_force enumerates the lattice-pair direction set entirely
-through the scalar path and serves as the small-n oracle; it never shares
-the vectorized code.
+Chord and sub-segment maxima of a checkerboard are both attained along a
+primitive lattice direction (dx, dy) with |dx|, |dy| <= n, so those
+directions are the only candidates.  best_chord / best_segment / scan_report
+evaluate each candidate with a vectorized per-direction scan (every critical
+offset at once) and recompute the winning direction through the scalar radon
+path so the reported witness is exact.  brute_force is the small-n oracle:
+it shares the enumeration of directions but evaluates every one of them
+through the scalar path only.
 """
 
 from __future__ import annotations
@@ -27,18 +28,15 @@ from .radon import (
     max_segment_in_direction,
 )
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 _BRUTE_LIMIT = 16  # lattice-pair enumeration cost guard
 _ANGLE_CAP = 200_000
 
 
 @dataclass(frozen=True)
 class SearchStrategy:
-    """How a report was produced: scan width, refinement rounds, oracle flag."""
+    """How a report was produced: direction budget and oracle flag."""
 
     angles: int
-    refine: int
     oracle: bool
 
 
@@ -53,7 +51,7 @@ class DiscrepancyReport:
 
 
 def default_angles(n: int) -> int:
-    """Scan width resolving the ~1/n^2-spaced lattice direction classes."""
+    """Default direction budget: all ~1.2 n^2 primitive directions for n <= 405."""
     return min(8 * n * n, _ANGLE_CAP)
 
 
@@ -99,91 +97,48 @@ def _scan_direction(c: Coloring, direction: Direction) -> tuple[float, float]:
     return chord_best, seg_best
 
 
-def _candidate_angles(n: int, angles: int) -> list[float]:
-    # Uniform grid, augmented with the primitive lattice directions while
-    # their enumeration is cheap (the oracle's range).  Peak values sit at
-    # kinks on those directions, which golden-section alone approaches only
-    # linearly; including them makes the scan resolve every combinatorial
-    # direction class at small n.
-    grid = {k * math.pi / angles for k in range(angles)}
-    if n <= _BRUTE_LIMIT:
-        grid.update(d.theta for d in _lattice_directions(n))
-    return sorted(grid)
-
-
-def _scan_stage(c: Coloring, thetas: list[float], threads: int):
-    if threads <= 1:
-        return [_scan_direction(c, Direction(t)) for t in thetas]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda t: _scan_direction(c, Direction(t)), thetas))
-
-
-def _refine_angle(value_at, theta0: float, window: float, rounds: int,
-                  best_theta: float, best_val: float) -> tuple[float, float]:
-    # Golden-section rounds around the incumbent; the incumbent is only
-    # replaced by a strictly larger value, so refinement never loses it.
-    if rounds <= 0:
-        return best_theta, best_val
-    a = theta0 - window
-    b = theta0 + window
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1 = value_at(x1)
-    f2 = value_at(x2)
-    for th, fv in ((x1, f1), (x2, f2)):
-        if fv > best_val:
-            best_theta, best_val = th, fv
-    for _ in range(rounds):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = value_at(x2)
-            th, fv = x2, f2
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = value_at(x1)
-            th, fv = x1, f1
-        if fv > best_val:
-            best_theta, best_val = th, fv
-    return best_theta, best_val
-
-
-def _search(c: Coloring, angles: int | None, refine: int, threads: int, which: int):
+def _scan(c: Coloring, angles: int | None, threads: int):
+    # One pass over the budgeted lattice directions: the directions and their
+    # (chord_max, segment_max) pairs.
     if angles is None:
         angles = default_angles(c.n)
     if angles < 1:
         raise ValueError(f"angle count must be at least 1, got {angles}")
-    thetas = _candidate_angles(c.n, angles)
-    pairs = _scan_stage(c, thetas, threads)
-    vals = [p[which] for p in pairs]
-    k = int(np.argmax(vals))  # first max: ties across directions go to smaller theta
-    best_theta, best_val = thetas[k], vals[k]
-    best_theta, _ = _refine_angle(
-        lambda th: _scan_direction(c, Direction(th))[which],
-        thetas[k], math.pi / angles, refine, best_theta, best_val,
-    )
-    return Direction(best_theta)
+    dirs = _lattice_directions(c.n, angles)
+    if threads <= 1:
+        return dirs, [_scan_direction(c, d) for d in dirs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return dirs, list(pool.map(lambda d: _scan_direction(c, d), dirs))
 
 
-def best_chord(c: Coloring, angles: int | None = None, refine: int = 3,
-               threads: int = 1) -> tuple[Chord, float]:
-    """Maximize |integral over a full chord| by dense angle scan + refinement.
+def _winner(dirs: list[Direction], pairs, which: int) -> Direction:
+    # first max: ties across directions go to smaller theta
+    return dirs[int(np.argmax([p[which] for p in pairs]))]
 
-    Scans theta_k = k pi / angles, golden-refines around the incumbent in a
-    +-pi/angles window, and reports the winning direction recomputed through
-    the scalar per-offset path.  Deterministic for fixed inputs.
-    """
-    d = _search(c, angles, refine, threads, 0)
+
+def _chord_witness(c: Coloring, d: Direction) -> tuple[Chord, float]:
     t, v = max_chord_in_direction(c, d)
     return Chord(d, t), v
 
 
-def best_segment(c: Coloring, angles: int | None = None, refine: int = 3,
+def best_chord(c: Coloring, angles: int | None = None,
+               threads: int = 1) -> tuple[Chord, float]:
+    """Maximize |integral over a full chord| over primitive lattice directions.
+
+    Scans the first `angles` primitive directions (shortest lattice vector
+    first; all of them at the default budget, which makes the result exact)
+    and reports the winning direction recomputed through the scalar
+    per-offset path.  Deterministic for fixed inputs.
+    """
+    dirs, pairs = _scan(c, angles, threads)
+    return _chord_witness(c, _winner(dirs, pairs, 0))
+
+
+def best_segment(c: Coloring, angles: int | None = None,
                  threads: int = 1) -> tuple[Segment, float]:
     """Maximize |integral over any sub-segment|; same strategy as best_chord."""
-    d = _search(c, angles, refine, threads, 1)
-    return max_segment_in_direction(c, d)
+    dirs, pairs = _scan(c, angles, threads)
+    return max_segment_in_direction(c, _winner(dirs, pairs, 1))
 
 
 def _ratios(n: int, seg_val: float) -> tuple[float, float | None]:
@@ -192,32 +147,33 @@ def _ratios(n: int, seg_val: float) -> tuple[float, float | None]:
     return r1, r2
 
 
-def scan_report(c: Coloring, angles: int | None = None, refine: int = 3,
+def scan_report(c: Coloring, angles: int | None = None,
                 threads: int = 1) -> DiscrepancyReport:
-    """DiscrepancyReport from the dense-scan strategy (chords and segments)."""
-    ch, vc = best_chord(c, angles, refine, threads)
-    seg, vs = best_segment(c, angles, refine, threads)
+    """DiscrepancyReport from one lattice-direction scan (chords and segments)."""
+    dirs, pairs = _scan(c, angles, threads)
+    ch, vc = _chord_witness(c, _winner(dirs, pairs, 0))
+    seg, vs = max_segment_in_direction(c, _winner(dirs, pairs, 1))
     r1, r2 = _ratios(c.n, vs)
     used = angles if angles is not None else default_angles(c.n)
     return DiscrepancyReport(
-        c.n, (ch, vc), (seg, vs), SearchStrategy(used, refine, False), r1, r2
+        c.n, (ch, vc), (seg, vs), SearchStrategy(used, False), r1, r2
     )
 
 
-def _lattice_directions(n: int) -> list[Direction]:
-    # One direction per primitive lattice vector (dx, dy), dy >= 0; the
-    # chord runs along (dx, dy), so the offset axis is its normal.
-    out = []
-    for dy in range(0, n + 1):
-        for dx in range(-n, n + 1):
-            if dy == 0:
-                if dx != 1:
-                    continue
-            elif math.gcd(abs(dx), dy) != 1:
-                continue
-            out.append(Direction(math.atan2(-dx, dy)))
-    out.sort(key=lambda d: d.theta)
-    return out
+def _lattice_directions(n: int, budget: int | None = None) -> list[Direction]:
+    # One direction per primitive lattice vector (dx, dy) with |dx|, |dy| <= n
+    # and dy > 0, or (dx, dy) = (1, 0); the chord runs along (dx, dy), so the
+    # offset axis is its normal.  A budget keeps the shortest vectors (ties
+    # to the smaller angle); the result is sorted by angle.
+    vecs = [
+        (dx, dy)
+        for dy in range(n + 1)
+        for dx in range(-n, n + 1)
+        if (dy == 0 and dx == 1) or (dy > 0 and math.gcd(dx, dy) == 1)
+    ]
+    keyed = [(dx * dx + dy * dy, Direction(math.atan2(-dx, dy))) for dx, dy in vecs]
+    keyed.sort(key=lambda kd: (kd[0], kd[1].theta))
+    return sorted((d for _, d in keyed[:budget]), key=lambda d: d.theta)
 
 
 def brute_force(c: Coloring) -> DiscrepancyReport:
@@ -241,5 +197,5 @@ def brute_force(c: Coloring) -> DiscrepancyReport:
             bs = (seg, vs)
     r1, r2 = _ratios(c.n, bs[1])
     return DiscrepancyReport(
-        c.n, bc, bs, SearchStrategy(len(dirs), 0, True), r1, r2
+        c.n, bc, bs, SearchStrategy(len(dirs), True), r1, r2
     )

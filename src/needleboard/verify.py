@@ -19,13 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .board import (
-    _MASK64,
-    _mix64_u64,
     Coloring,
     make_constant,
     make_parity,
     make_random,
     make_stripes,
+    random_cell_values,
 )
 from .geom import Segment, cell_crossings, integrate
 from .search import best_chord, best_segment, default_angles
@@ -33,8 +32,8 @@ from .spectral import certified_lower_bound
 
 _SNAP_EXP = 10  # endpoint grid spacing n^-10
 _PERTURB_LIMIT = 8  # keeps n^-10 comfortably inside double precision
-_SCAN_ANGLE_CAP = 128  # per-n angle budget of the scaling scan
-_LOWER_ANGLE_CAP = 1024  # per-n angle budget of the certificate scan
+_SCAN_ANGLE_CAP = 256  # per-n direction budget of the scaling scan
+_LOWER_ANGLE_CAP = 1024  # per-n direction budget of the certificate scan
 
 
 @dataclass(frozen=True)
@@ -60,14 +59,12 @@ class TailExperiment:
         return 3.0 * math.sqrt(p * (1.0 - p) / self.trials)
 
 
-def _trial_signs(seed: int, trials: int, counters: np.ndarray) -> np.ndarray:
-    # (trials x cells) sign matrix; row t reproduces random_cell_values with
-    # seed seed+1+t on the given cells, so each row is a slice of the
-    # coloring make_random would build for that trial.
-    inner = _mix64_u64(counters)
-    seeds = (np.uint64(seed & _MASK64) + np.arange(1, trials + 1, dtype=np.uint64))[:, None]
-    h = _mix64_u64(seeds ^ inner[None, :])
-    return np.where((h >> np.uint64(63)) == 0, 1.0, -1.0)
+def _trial_signs(seed: int, trials: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    # (trials x cells) sign matrix; row t is random_cell_values with seed
+    # seed+1+t on cells (i, j), so each row is a slice of the coloring
+    # make_random would build for that trial.
+    seeds = seed + np.arange(1, trials + 1, dtype=object)
+    return random_cell_values(seeds[:, None], i[None, :], j[None, :])
 
 
 def hoeffding_tail(seg: Segment, n: int, trials: int, seed: int,
@@ -85,10 +82,8 @@ def hoeffding_tail(seg: Segment, n: int, trials: int, seed: int,
     sigma = math.sqrt(float(np.sum(lengths**2)))
     if sigma == 0.0:
         raise ValueError("segment does not cross the board (sigma = 0)")
-    counters = np.array(
-        [(e.i << 32) + e.j + 1 for e in crossings], dtype=np.uint64
-    )
-    signs = _trial_signs(seed, trials, counters)
+    i, j = np.array([(e.i, e.j) for e in crossings], dtype=np.int64).T
+    signs = _trial_signs(seed, trials, i, j)
     sums = signs @ lengths
     lams = tuple(float(x) for x in lambdas)
     freqs = tuple(float(np.mean(np.abs(sums) > lam * sigma)) for lam in lams)
@@ -102,23 +97,27 @@ class ScalingReport:
     n_values: tuple[int, ...]
     trials: int
     seed: int
-    angles: tuple[int, ...]  # per-n scan width actually used
+    angles: tuple[int, ...]  # per-n direction budget actually used
     values: tuple[tuple[float, ...], ...]  # per n, per trial
     exponent: float | None  # envelope fit; None when fewer than two distinct n
     constants: tuple[float, ...]  # per n: max value / sqrt(n log n)
 
 
 def upper_bound_scan(n_list, trials: int = 10, seed: int = 0,
-                     angles: int | None = None, refine: int = 2,
-                     threads: int = 1) -> ScalingReport:
+                     angles: int | None = None, threads: int = 1) -> ScalingReport:
     """Measure best-segment growth over random colorings.
 
     Coloring seeds are seed+1 ... seed+trials, reused across n (the boards
     differ by size anyway).  With `angles` unset each n uses its default
-    scan width capped at 128: the fit needs consistent relative coverage,
-    not per-board exactness.
+    direction budget capped at 256: the fit needs consistent relative
+    coverage, not per-board exactness.  Needs n >= 2 (the sqrt(n log n)
+    normalization vanishes at n = 1) and trials >= 1.
     """
     ns = tuple(int(n) for n in n_list)
+    if ns and min(ns) < 2:
+        raise ValueError(f"board sizes must be at least 2, got n={min(ns)}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     used: list[int] = []
     values: list[tuple[float, ...]] = []
     for n in ns:
@@ -127,7 +126,7 @@ def upper_bound_scan(n_list, trials: int = 10, seed: int = 0,
         row = []
         for t in range(1, trials + 1):
             c = make_random(n, seed + t)
-            _, v = best_segment(c, angles=a, refine=refine, threads=threads)
+            _, v = best_segment(c, angles=a, threads=threads)
             row.append(v)
         values.append(tuple(row))
     constants = tuple(
@@ -166,6 +165,11 @@ def _fixture_board(descriptor: str, n: int) -> Coloring:
     raise ValueError(f"unknown fixture descriptor {descriptor!r}")
 
 
+def lower_scan_angles(n: int) -> int:
+    """Direction budget of the chord scan that certificates are checked against."""
+    return min(default_angles(n), _LOWER_ANGLE_CAP)
+
+
 def lower_bound_scan(fixtures, n_list, threads: int = 1) -> tuple[LowerBoundRow, ...]:
     """Chord maxima against certificates on the named fixtures.
 
@@ -176,8 +180,7 @@ def lower_bound_scan(fixtures, n_list, threads: int = 1) -> tuple[LowerBoundRow,
     for descriptor in fixtures:
         for n in n_list:
             c = _fixture_board(descriptor, int(n))
-            a = min(default_angles(c.n), _LOWER_ANGLE_CAP)
-            _, v = best_chord(c, angles=a, refine=2, threads=threads)
+            _, v = best_chord(c, angles=lower_scan_angles(c.n), threads=threads)
             bound, radius = certified_lower_bound(c)
             if v < bound:
                 raise RuntimeError(
@@ -226,8 +229,8 @@ def perturbation_check(n: int, trials: int, seed: int = 0) -> PerturbationReport
     and segments crossing one strip boundary, split at the crossing and
     snapped per strip.  Each deviation must stay at most 1.
     """
-    if n > _PERTURB_LIMIT:
-        raise ValueError(f"perturbation_check is limited to n <= {_PERTURB_LIMIT}, got {n}")
+    if not 2 <= n <= _PERTURB_LIMIT:
+        raise ValueError(f"perturbation_check needs 2 <= n <= {_PERTURB_LIMIT}, got n={n}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     scale = float(n**_SNAP_EXP)

@@ -58,8 +58,8 @@ def test_criterion_01_scan_matches_exhaustive_oracle():
     for n in (2, 3, 4, 6):
         for c in _fixtures(n):
             rep = brute_force(c)
-            _, vc = best_chord(c, angles=2048, refine=4)
-            _, vs = best_segment(c, angles=2048, refine=4)
+            _, vc = best_chord(c, angles=2048)
+            _, vs = best_segment(c, angles=2048)
             worst = max(worst, abs(vc - rep.best_chord[1]), abs(vs - rep.best_segment[1]))
     elapsed = time.perf_counter() - start
     _verdict(1, "scan matches oracle", worst <= 1e-9 and elapsed < 60.0,
@@ -70,15 +70,15 @@ def test_criterion_02_analytic_fixture_values():
     worst = "all floors met"
     ok = True
     for n in (2, 4, 8):
-        _, v = best_chord(make_constant(n, +1), angles=64, refine=2)
+        _, v = best_chord(make_constant(n, +1), angles=64)
         if abs(v - n * math.sqrt(2.0)) > 1e-9:
             ok, worst = False, f"constant {n}: chord {v}"
     for n in range(2, 33, 2):
-        _, v = best_segment(make_parity(n), angles=64, refine=2)
+        _, v = best_segment(make_parity(n), angles=64)
         if v < n * math.sqrt(2.0) - 1e-9:
             ok, worst = False, f"parity {n}: segment {v}"
     for n in (2, 4, 8, 16, 32):
-        _, v = best_segment(make_stripes(n, "horizontal"), angles=64, refine=2)
+        _, v = best_segment(make_stripes(n, "horizontal"), angles=64)
         if v < n - 1e-9:
             ok, worst = False, f"stripes {n}: segment {v}"
     _verdict(2, "analytic fixture values", ok, worst)

@@ -77,7 +77,6 @@ def test_search_envelope_and_parity_floor(tmp_path, capsys):
         res["best_segment"]["value"] / math.sqrt(8.0), rel=1e-12
     )
     assert res["strategy"]["oracle"] is False
-    assert doc["config"]["refine"] == 3
     assert "threads" not in doc["config"]
 
 
@@ -99,7 +98,7 @@ def test_search_renders_svg(tmp_path):
     board = _board_file(tmp_path, make_parity(4))
     svg = tmp_path / "board.svg"
     out = tmp_path / "report.json"
-    rc = main(["search", "--board", board, "--angles", "64", "--refine", "1",
+    rc = main(["search", "--board", board, "--angles", "64",
                "--svg", str(svg), "--out", str(out)])
     assert rc == 0
     text = svg.read_text(encoding="ascii")
@@ -181,10 +180,29 @@ def test_perturb_within_unit_bound(capsys):
 
 
 def test_bad_segment_names_token(capsys):
-    rc = main(["integrate", "--board", "whatever.txt", "--seg", "1,2,3"])
-    err = capsys.readouterr().err
+    for token in ("1,2,3", "nan,0,1,1", "0,0,inf,1"):
+        rc = main(["integrate", "--board", "whatever.txt", "--seg", token])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert token in err
+
+
+@pytest.mark.parametrize("argv, env, named", [
+    (["verify-upper", "--ns", "1,2", "--trials", "1"], None, "n=1"),
+    (["verify-upper", "--ns", "4", "--trials", "0"], None, "trials"),
+    (["perturb", "--n", "1", "--trials", "5"], None, "n=1"),
+    (["generate", "--n", "2", "--threads", "0"], None, "--threads"),
+    (["generate", "--n", "2", "--threads", "-3"], None, "--threads"),
+    (["generate", "--n", "2"], "abc", "NEEDLEBOARD_THREADS"),
+])
+def test_bad_input_exits_one_naming_it(argv, env, named, capsys, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("NEEDLEBOARD_THREADS", env)
+    rc = main(argv)
+    captured = capsys.readouterr()
     assert rc == 1
-    assert "1,2,3" in err
+    assert captured.out == ""
+    assert named in captured.err
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -1,6 +1,7 @@
 """Search tests: both routes against each other, analytic anchors, symmetry
 properties, and strategy monotonicity."""
 
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from needleboard.search import (
     brute_force,
     default_angles,
     scan_report,
+    _lattice_directions,
     _scan_direction,
 )
 from needleboard.spectral import certified_lower_bound
@@ -42,13 +44,13 @@ def test_vectorized_direction_scan_matches_scalar_path():
 
 def test_best_chord_constant_board_is_the_diagonal():
     for n in (2, 4, 8):
-        _, v = best_chord(make_constant(n, +1), angles=64, refine=0)
+        _, v = best_chord(make_constant(n, +1), angles=64)
         assert v == pytest.approx(n * math.sqrt(2.0), abs=1e-9)
 
 
 def test_best_chord_parity_diagonal_floor():
     for n in (2, 4, 6):
-        _, v = best_chord(make_parity(n), angles=128, refine=2)
+        _, v = best_chord(make_parity(n), angles=128)
         assert v >= n * math.sqrt(2.0) - 1e-9
 
 
@@ -56,7 +58,7 @@ def test_best_segment_stripes_in_strip_diagonal():
     # a full row gives n, but the strip's own diagonal stays inside one
     # constant-sign strip with length sqrt(n^2 + 1), so that is the optimum
     n = 4
-    _, v = best_segment(make_stripes(n, "horizontal"), angles=128, refine=2)
+    _, v = best_segment(make_stripes(n, "horizontal"), angles=128)
     assert v >= float(n)
     assert v == pytest.approx(math.sqrt(n * n + 1.0), abs=1e-9)
 
@@ -64,8 +66,8 @@ def test_best_segment_stripes_in_strip_diagonal():
 def test_best_segment_never_below_best_chord():
     for seed in (0, 5):
         c = make_random(5, seed)
-        _, vc = best_chord(c, angles=128, refine=2)
-        _, vs = best_segment(c, angles=128, refine=2)
+        _, vc = best_chord(c, angles=128)
+        _, vs = best_segment(c, angles=128)
         assert vs >= vc - 1e-12
 
 
@@ -83,20 +85,60 @@ def test_brute_force_constant_2():
 
 
 def test_dense_scan_matches_oracle_on_random_boards():
-    for seed in range(5):
-        c = make_random(4, seed)
+    cases = [(make_random(4, seed), 512) for seed in range(5)]
+    for n in (8, 12):
+        cases += [(make_random(n, n), None), (make_parity(n), None),
+                  (make_stripes(n, "horizontal"), None)]
+    for c, angles in cases:
         rep = brute_force(c)
-        _, vc = best_chord(c, angles=512, refine=3)
-        _, vs = best_segment(c, angles=512, refine=3)
+        ch, vc = best_chord(c, angles=angles)
+        seg, vs = best_segment(c, angles=angles)
         assert vc == pytest.approx(rep.best_chord[1], abs=1e-9)
         assert vs == pytest.approx(rep.best_segment[1], abs=1e-9)
+        both = scan_report(c, angles=angles)
+        assert both.best_chord == (ch, vc)
+        assert both.best_segment == (seg, vs)
+
+
+def test_lattice_directions_are_the_lattice_pair_directions():
+    # independent enumeration: every direction spanned by two distinct points
+    # of the (n+1) x (n+1) lattice, reduced by gcd and sign-normalized
+    for n in range(1, 7):
+        pts = [(x, y) for x in range(n + 1) for y in range(n + 1)]
+        spanned = set()
+        for (ax, ay), (bx, by) in itertools.combinations(pts, 2):
+            dx, dy = bx - ax, by - ay
+            g = math.gcd(dx, dy)
+            dx, dy = dx // g, dy // g
+            if dy < 0 or (dy == 0 and dx < 0):
+                dx, dy = -dx, -dy
+            spanned.add((dx, dy))
+        got = _lattice_directions(n)
+        assert len(got) == len(spanned)
+        assert [d.theta for d in got] == sorted(d.theta for d in got)
+        for dx, dy in spanned:
+            # the chord of a direction runs along its uperp
+            assert any(abs(d.uperp[0] * dy - d.uperp[1] * dx) < 1e-9 for d in got)
+
+
+def test_smaller_budget_is_a_prefix_of_a_larger_one():
+    n = 6
+    full = _lattice_directions(n)
+    prev: set = set()
+    for budget in range(1, len(full) + 3):
+        dirs = _lattice_directions(n, budget)
+        assert len(dirs) == min(budget, len(full))
+        assert prev <= set(dirs)
+        assert [d.theta for d in dirs] == sorted(d.theta for d in dirs)
+        prev = set(dirs)
+    assert prev == set(full)
 
 
 def test_best_segment_witness_integral_matches_value():
     from needleboard.geom import integrate
 
     c = make_random(4, seed=2)
-    seg, v = best_segment(c, angles=256, refine=2)
+    seg, v = best_segment(c, angles=256)
     assert abs(integrate(c, seg)) == pytest.approx(v, abs=1e-9)
 
 
@@ -104,7 +146,7 @@ def test_values_monotone_in_angle_count():
     c = make_random(6, seed=11)
     prev = -1.0
     for angles in (64, 128, 256):
-        _, v = best_segment(c, angles=angles, refine=2)
+        _, v = best_segment(c, angles=angles)
         assert v >= prev - 1e-12
         prev = v
 
@@ -113,8 +155,8 @@ def test_negation_invariance():
     c = make_random(5, seed=4)
     neg = Coloring(5, -c.cells)
     for fn in (best_chord, best_segment):
-        _, v = fn(c, angles=128, refine=2)
-        _, w = fn(neg, angles=128, refine=2)
+        _, v = fn(c, angles=128)
+        _, w = fn(neg, angles=128)
         assert v == pytest.approx(w, abs=1e-12)
 
 
@@ -134,13 +176,13 @@ def test_best_chord_beats_certificate():
     for n in (4, 8):
         for c in (make_parity(n), make_random(n, seed=1)):
             bound, _ = certified_lower_bound(c)
-            _, v = best_chord(c, angles=256, refine=2)
+            _, v = best_chord(c, angles=256)
             assert v >= bound > 0.0
 
 
 def test_report_shape_and_ratios():
     c = make_random(4, seed=6)
-    rep = scan_report(c, angles=128, refine=2)
+    rep = scan_report(c, angles=128)
     assert isinstance(rep, DiscrepancyReport)
     assert rep.n == 4
     assert rep.best_segment[1] >= rep.best_chord[1] >= 0.0
@@ -173,11 +215,11 @@ def test_rejects_bad_parameters():
 
 def test_threaded_scan_is_identical():
     c = make_random(6, seed=13)
-    seg1, v1 = best_segment(c, angles=64, refine=2, threads=1)
-    seg4, v4 = best_segment(c, angles=64, refine=2, threads=4)
+    seg1, v1 = best_segment(c, angles=64, threads=1)
+    seg4, v4 = best_segment(c, angles=64, threads=4)
     assert v1 == v4
     assert seg1 == seg4
-    ch1, w1 = best_chord(c, angles=64, refine=2, threads=1)
-    ch4, w4 = best_chord(c, angles=64, refine=2, threads=4)
+    ch1, w1 = best_chord(c, angles=64, threads=1)
+    ch4, w4 = best_chord(c, angles=64, threads=4)
     assert w1 == w4
     assert ch1 == ch4

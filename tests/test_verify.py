@@ -62,8 +62,9 @@ def test_trials_reproduce_per_seed_colorings():
     seg = Segment((0.3, 0.2), (7.4, 6.9))
     cr = cell_crossings(seg, 8)
     lengths = np.array(cr.lengths())
-    counters = np.array([(e.i << 32) + e.j + 1 for e in cr], dtype=np.uint64)
-    signs = _trial_signs(42, 4, counters)
+    i = np.array([e.i for e in cr])
+    j = np.array([e.j for e in cr])
+    signs = _trial_signs(42, 4, i, j)
     for t in range(4):
         c = make_random(8, 42 + 1 + t)
         assert float(signs[t] @ lengths) == pytest.approx(integrate(c, seg), abs=1e-12)
@@ -113,6 +114,13 @@ def test_upper_bound_scan_exponent_fits_envelope():
     assert rep.exponent == pytest.approx(slope, rel=1e-12)
 
 
+def test_upper_bound_scan_rejects_bad_parameters():
+    with pytest.raises(ValueError, match="n=1"):
+        upper_bound_scan((1, 2), trials=1)
+    with pytest.raises(ValueError, match="trials"):
+        upper_bound_scan((4,), trials=0)
+
+
 def test_upper_bound_scan_single_n_has_no_exponent():
     rep = upper_bound_scan((8,), trials=1, seed=0)
     assert rep.exponent is None
@@ -159,5 +167,7 @@ def test_perturbation_check_deterministic():
 def test_perturbation_check_rejects_bad_parameters():
     with pytest.raises(ValueError, match="n <= 8"):
         perturbation_check(9, 10, seed=0)
+    with pytest.raises(ValueError, match="n=1"):
+        perturbation_check(1, 10, seed=0)
     with pytest.raises(ValueError, match="trials"):
         perturbation_check(4, 0, seed=0)
