@@ -46,6 +46,7 @@ from .verify import (
 )
 
 _SCHEMA = "needleboard/1"
+_THREAD_CAP = 256  # fixed upper bound on worker threads, whatever the machine
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,21 +71,36 @@ def _segment_arg(text: str) -> Segment:
     return Segment((ax, ay), (bx, by))
 
 
-def _positive_int(text: str) -> int:
+def _thread_count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    if not 1 <= value <= _THREAD_CAP:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive integer of at most {_THREAD_CAP}"
+        )
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
     return value
 
 
 def _float_list_arg(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(p) for p in text.split(","))
+        values = tuple(float(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated number list")
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"{text!r} has a non-finite number")
+    return values
 
 
 def _int_list_arg(text: str) -> tuple[int, ...]:
@@ -380,10 +396,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument(
             "--threads",
-            type=_positive_int,
+            type=_thread_count,
             default=None,
-            help="direction-scan worker threads, default $NEEDLEBOARD_THREADS or 1 "
-                 "(results are thread-count independent)",
+            help=f"direction-scan worker threads, 1 to {_THREAD_CAP}, default "
+                 "$NEEDLEBOARD_THREADS or 1 (results are thread-count independent)",
         )
         if board:
             p.add_argument("--board", required=True, help="board text file")
@@ -408,7 +424,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("project", help="offset profile of a direction")
     common(p, board=True)
-    p.add_argument("--theta", type=float, required=True, help="direction angle, radians")
+    p.add_argument("--theta", type=_finite_float, required=True,
+                   help="direction angle, radians")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_project)
 
@@ -429,8 +446,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("spectrum", help="frequency-disk energy split")
     common(p, board=True)
-    p.add_argument("--a", type=float, default=8.0, help="disk radius")
-    p.add_argument("--theta", type=float, default=None,
+    p.add_argument("--a", type=_finite_float, default=8.0, help="disk radius")
+    p.add_argument("--theta", type=_finite_float, default=None,
                    help="also report the slice residual for this direction")
     p.set_defaults(func=_cmd_spectrum)
 
@@ -478,7 +495,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     if args.threads is None:
         try:
-            args.threads = _positive_int(os.environ.get("NEEDLEBOARD_THREADS", "1"))
+            args.threads = _thread_count(os.environ.get("NEEDLEBOARD_THREADS", "1"))
         except argparse.ArgumentTypeError as exc:
             sys.stderr.write(f"needleboard: NEEDLEBOARD_THREADS: {exc}\n")
             return 1

@@ -3,11 +3,11 @@
 Chord and sub-segment maxima of a checkerboard are both attained along a
 primitive lattice direction (dx, dy) with |dx|, |dy| <= n, so those
 directions are the only candidates.  best_chord / best_segment / scan_report
-evaluate each candidate with a vectorized per-direction scan (every critical
-offset at once) and recompute the winning direction through the scalar radon
-path so the reported witness is exact.  brute_force is the small-n oracle:
-it shares the enumeration of directions but evaluates every one of them
-through the scalar path only.
+evaluate each candidate with radon's blocked kernel (offset_scan, every
+breakpoint offset at once) and take the witness chord and segment from the
+winning offset's events, so nothing is recomputed.  brute_force is the
+small-n oracle: it shares the enumeration of directions but evaluates every
+one of them through radon's scalar cell walk only.
 """
 
 from __future__ import annotations
@@ -23,9 +23,11 @@ from .geom import Segment
 from .radon import (
     Chord,
     Direction,
+    _walk_direction,
     breakpoint_offsets,
     max_chord_in_direction,
     max_segment_in_direction,
+    offset_scan,
 )
 
 _BRUTE_LIMIT = 16  # lattice-pair enumeration cost guard
@@ -55,51 +57,19 @@ def default_angles(n: int) -> int:
     return min(8 * n * n, _ANGLE_CAP)
 
 
-def _scan_direction(c: Coloring, direction: Direction) -> tuple[float, float]:
-    # Exact (chord_max, segment_max) for one direction, all critical offsets
-    # evaluated at once.  Axis directions go through the scalar path: their
-    # offset set includes interval midpoints and the event algebra below
-    # would divide by zero.
+def _scan_direction(c: Coloring, direction: Direction):
+    # ((t*, chord max), (witness, segment max)) for one direction.  Axis
+    # directions take radon's closed forms; the others run the kernel on the
+    # breakpoints looked up here.
     if direction.is_axis():
-        _, vc = max_chord_in_direction(c, direction)
-        _, vs = max_segment_in_direction(c, direction)
-        return vc, vs
-    n = c.n
-    ux, uy = direction.u  # uy > 0 off-axis since theta in (0, pi)
-    ts = breakpoint_offsets(n, direction)
-    tx = ts[:, None] * ux
-    ty = ts[:, None] * uy
-    # chord point at arclength s is (tx - s uy, ty + s ux); clip both
-    # coordinates to [0, n] for the in-board arclength window
-    x_lo = (tx - n) / uy
-    x_hi = tx / uy
-    if ux > 0:
-        y_lo = -ty / ux
-        y_hi = (n - ty) / ux
-    else:
-        y_lo = (n - ty) / ux
-        y_hi = -ty / ux
-    s_lo = np.maximum(x_lo, y_lo)
-    s_hi = np.maximum(np.minimum(x_hi, y_hi), s_lo)
-    k = np.arange(n + 1, dtype=np.float64)[None, :]
-    ev = np.concatenate([(tx - k) / uy, (k - ty) / ux], axis=1)
-    np.clip(ev, s_lo, s_hi, out=ev)
-    ev.sort(axis=1)
-    mids = (ev[:, :-1] + ev[:, 1:]) / 2.0
-    lengths = np.diff(ev, axis=1)
-    ix = np.clip((tx - mids * uy).astype(np.int64), 0, n - 1)
-    iy = np.clip((ty + mids * ux).astype(np.int64), 0, n - 1)
-    prefix = np.cumsum(c.cells[ix, iy] * lengths, axis=1)
-    chord_best = float(np.max(np.abs(prefix[:, -1])))
-    pmax = np.maximum(prefix.max(axis=1), 0.0)
-    pmin = np.minimum(prefix.min(axis=1), 0.0)
-    seg_best = float(np.max(pmax - pmin))
-    return chord_best, seg_best
+        return max_chord_in_direction(c, direction), max_segment_in_direction(c, direction)
+    scan = offset_scan(c, direction, breakpoint_offsets(c.n, direction))
+    return scan.best_chord(), scan.best_segment()
 
 
 def _scan(c: Coloring, angles: int | None, threads: int):
     # One pass over the budgeted lattice directions: the directions and their
-    # (chord_max, segment_max) pairs.
+    # _scan_direction results.
     if angles is None:
         angles = default_angles(c.n)
     if angles < 1:
@@ -111,14 +81,15 @@ def _scan(c: Coloring, angles: int | None, threads: int):
         return dirs, list(pool.map(lambda d: _scan_direction(c, d), dirs))
 
 
-def _winner(dirs: list[Direction], pairs, which: int) -> Direction:
+def _chord_winner(dirs: list[Direction], results) -> tuple[Chord, float]:
     # first max: ties across directions go to smaller theta
-    return dirs[int(np.argmax([p[which] for p in pairs]))]
+    k = int(np.argmax([r[0][1] for r in results]))
+    t, v = results[k][0]
+    return Chord(dirs[k], t), v
 
 
-def _chord_witness(c: Coloring, d: Direction) -> tuple[Chord, float]:
-    t, v = max_chord_in_direction(c, d)
-    return Chord(d, t), v
+def _segment_winner(results) -> tuple[Segment, float]:
+    return results[int(np.argmax([r[1][1] for r in results]))][1]
 
 
 def best_chord(c: Coloring, angles: int | None = None,
@@ -127,18 +98,18 @@ def best_chord(c: Coloring, angles: int | None = None,
 
     Scans the first `angles` primitive directions (shortest lattice vector
     first; all of them at the default budget, which makes the result exact)
-    and reports the winning direction recomputed through the scalar
-    per-offset path.  Deterministic for fixed inputs.
+    and reports the winning offset of the winning direction.  Deterministic
+    for fixed inputs.
     """
-    dirs, pairs = _scan(c, angles, threads)
-    return _chord_witness(c, _winner(dirs, pairs, 0))
+    dirs, results = _scan(c, angles, threads)
+    return _chord_winner(dirs, results)
 
 
 def best_segment(c: Coloring, angles: int | None = None,
                  threads: int = 1) -> tuple[Segment, float]:
     """Maximize |integral over any sub-segment|; same strategy as best_chord."""
-    dirs, pairs = _scan(c, angles, threads)
-    return max_segment_in_direction(c, _winner(dirs, pairs, 1))
+    _, results = _scan(c, angles, threads)
+    return _segment_winner(results)
 
 
 def _ratios(n: int, seg_val: float) -> tuple[float, float | None]:
@@ -150,9 +121,9 @@ def _ratios(n: int, seg_val: float) -> tuple[float, float | None]:
 def scan_report(c: Coloring, angles: int | None = None,
                 threads: int = 1) -> DiscrepancyReport:
     """DiscrepancyReport from one lattice-direction scan (chords and segments)."""
-    dirs, pairs = _scan(c, angles, threads)
-    ch, vc = _chord_witness(c, _winner(dirs, pairs, 0))
-    seg, vs = max_segment_in_direction(c, _winner(dirs, pairs, 1))
+    dirs, results = _scan(c, angles, threads)
+    ch, vc = _chord_winner(dirs, results)
+    seg, vs = _segment_winner(results)
     r1, r2 = _ratios(c.n, vs)
     used = angles if angles is not None else default_angles(c.n)
     return DiscrepancyReport(
@@ -181,7 +152,8 @@ def brute_force(c: Coloring) -> DiscrepancyReport:
 
     Enumerates each direction spanned by two distinct points of the
     (n+1) x (n+1) lattice (axes included), maximizing chords and segments
-    exactly per direction.  Ground truth for small boards.
+    exactly per direction by walking cell_crossings chord by chord, so it
+    shares no arithmetic with the kernel.  Ground truth for small boards.
     """
     if c.n > _BRUTE_LIMIT:
         raise ValueError(f"brute_force is limited to n <= {_BRUTE_LIMIT}, got {c.n}")
@@ -189,10 +161,9 @@ def brute_force(c: Coloring) -> DiscrepancyReport:
     bc: tuple[Chord, float] | None = None
     bs: tuple[Segment, float] | None = None
     for d in dirs:
-        t, vc = max_chord_in_direction(c, d)
+        (t, vc), (seg, vs) = _walk_direction(c, d)
         if bc is None or vc > bc[1]:
             bc = (Chord(d, t), vc)
-        seg, vs = max_segment_in_direction(c, d)
         if bs is None or vs > bs[1]:
             bs = (seg, vs)
     r1, r2 = _ratios(c.n, bs[1])

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .board import Coloring, sum_squares
-from .geom import integrate
-from .radon import Chord, Direction, chord_segment, project
+from .geom import integrate  # noqa: F401  (kept as a module attribute; perfbench/spans.py hooks it)
+from .radon import Direction, project
 
 _REL_TOL = 1e-4  # quadrature: relative stability target under grid doubling
 _GRID_CAP = 1 << 15  # quadrature: max midpoint samples per axis
@@ -72,14 +72,12 @@ def _interval_profile(c: Coloring, direction: Direction):
     # One-sided interior limits of the offset profile on each breakpoint
     # interval.  Generic directions: the profile is continuous piecewise
     # linear, so limits are the breakpoint values.  Axis directions: the
-    # profile is constant on each interval but may step at breakpoints, so
-    # evaluate at interval midpoints.
+    # profile is constant on [k, k+1] at the sum of line k, which is also the
+    # value the gridline t = k owns in the projection.
     p = project(c, direction)
     t, v = p.breakpoints, p.values
     if direction.is_axis():
-        mids = ((t[:-1] + t[1:]) / 2).tolist()
-        mv = np.array([integrate(c, chord_segment(c.n, Chord(direction, m))) for m in mids])
-        return t[:-1], t[1:], mv, mv
+        return t[:-1], t[1:], v[:-1], v[:-1]
     return t[:-1], t[1:], v[:-1], v[1:]
 
 
@@ -173,8 +171,8 @@ def tail_energy(c: Coloring, a_radius: float) -> EnergyReport:
     (against the total, which Parseval pins exactly), capped at 2^15 samples
     per axis.
     """
-    if a_radius <= 0:
-        raise ValueError(f"disk radius must be positive, got {a_radius}")
+    if not (math.isfinite(a_radius) and a_radius > 0):
+        raise ValueError(f"disk radius must be positive and finite, got {a_radius}")
     total = sum_squares(c)
     if total == 0.0:
         return EnergyReport(0.0, float(a_radius), 0.0, 0.0, None, 0)

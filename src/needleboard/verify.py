@@ -14,6 +14,7 @@ horizontal strip boundary.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,15 +154,24 @@ class LowerBoundRow:
     radius: float
 
 
-def _fixture_board(descriptor: str, n: int) -> Coloring:
+def _fixture_maker(descriptor: str) -> Callable[[int], Coloring]:
+    # The board maker of one fixture descriptor; a bad descriptor fails here,
+    # before any board is scanned.
     if descriptor == "constant":
-        return make_constant(n, +1)
+        return lambda n: make_constant(n, +1)
     if descriptor == "parity":
-        return make_parity(n)
+        return make_parity
     if descriptor == "stripes":
-        return make_stripes(n, "horizontal")
+        return lambda n: make_stripes(n, "horizontal")
     if descriptor.startswith("random:"):
-        return make_random(n, int(descriptor.split(":", 1)[1]))
+        seed_text = descriptor.split(":", 1)[1]
+        try:
+            seed = int(seed_text)
+        except ValueError:
+            raise ValueError(
+                f"fixture {descriptor!r}: seed {seed_text!r} is not an integer"
+            ) from None
+        return lambda n: make_random(n, seed)
     raise ValueError(f"unknown fixture descriptor {descriptor!r}")
 
 
@@ -177,9 +187,10 @@ def lower_bound_scan(fixtures, n_list, threads: int = 1) -> tuple[LowerBoundRow,
     since the certificate is a proven lower bound for it.
     """
     rows = []
-    for descriptor in fixtures:
+    makers = [(descriptor, _fixture_maker(descriptor)) for descriptor in fixtures]
+    for descriptor, make in makers:
         for n in n_list:
-            c = _fixture_board(descriptor, int(n))
+            c = make(int(n))
             _, v = best_chord(c, angles=lower_scan_angles(c.n), threads=threads)
             bound, radius = certified_lower_bound(c)
             if v < bound:

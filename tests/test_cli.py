@@ -194,6 +194,17 @@ def test_bad_segment_names_token(capsys):
     (["generate", "--n", "2", "--threads", "0"], None, "--threads"),
     (["generate", "--n", "2", "--threads", "-3"], None, "--threads"),
     (["generate", "--n", "2"], "abc", "NEEDLEBOARD_THREADS"),
+    # the thread cap is checked while parsing, before any pool exists
+    (["generate", "--n", "2", "--threads", "257"], None, "--threads"),
+    (["generate", "--n", "2", "--threads", "100000"], None, "--threads"),
+    (["generate", "--n", "2"], "100000", "NEEDLEBOARD_THREADS"),
+    (["project", "--board", "b.txt", "--theta", "nan"], None, "--theta"),
+    (["project", "--board", "b.txt", "--theta", "inf"], None, "--theta"),
+    (["spectrum", "--board", "b.txt", "--theta", "nan"], None, "--theta"),
+    (["spectrum", "--board", "b.txt", "--a", "nan"], None, "--a"),
+    (["spectrum", "--board", "b.txt", "--a", "inf"], None, "--a"),
+    (["tail", "--seg", "0,0.5,4,0.5", "--lambdas", "1,nan"], None, "--lambdas"),
+    (["verify-lower", "--ns", "4", "--fixtures", "parity,random:x"], None, "random:x"),
 ])
 def test_bad_input_exits_one_naming_it(argv, env, named, capsys, monkeypatch):
     if env is not None:

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from needleboard.board import make_constant, make_parity, make_random, make_stripes
 from needleboard.geom import Segment, cell_crossings, integrate
@@ -29,6 +30,12 @@ def test_direction_normalization():
     assert Direction(math.pi / 2).u == (0.0, 1.0)
     assert Direction(math.pi / 2).uperp == (-1.0, 0.0)
     assert Direction(0.0).uperp == (0.0, 1.0)
+
+
+def test_direction_rejects_nonfinite_angle():
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Direction(theta)
 
 
 def test_chord_segment_horizontal_example():

@@ -14,7 +14,7 @@ from needleboard.board import (
     make_random,
     make_stripes,
 )
-from needleboard.radon import Direction, max_chord_in_direction, max_segment_in_direction
+from needleboard.radon import Direction, _walk_direction
 from needleboard.search import (
     DiscrepancyReport,
     best_chord,
@@ -35,9 +35,8 @@ def test_vectorized_direction_scan_matches_scalar_path():
         thetas = list(rng.uniform(0.01, math.pi - 0.01, 6)) + [0.0, math.pi / 2]
         for theta in thetas:
             d = Direction(float(theta))
-            vc_fast, vs_fast = _scan_direction(c, d)
-            _, vc_exact = max_chord_in_direction(c, d)
-            _, vs_exact = max_segment_in_direction(c, d)
+            (_, vc_fast), (_, vs_fast) = _scan_direction(c, d)
+            (_, vc_exact), (_, vs_exact) = _walk_direction(c, d)
             assert vc_fast == pytest.approx(vc_exact, abs=1e-12)
             assert vs_fast == pytest.approx(vs_exact, abs=1e-12)
 
@@ -82,6 +81,20 @@ def test_brute_force_constant_2():
     rep = brute_force(make_constant(2, +1))
     assert rep.best_chord[1] == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
     assert rep.best_segment[1] == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
+
+
+def test_brute_force_never_reaches_the_kernel(monkeypatch):
+    # the oracle must stay independent of the arithmetic it checks
+    import needleboard.radon as radon
+    import needleboard.search as search
+
+    def kernel(*args):
+        raise AssertionError("brute_force reached offset_scan")
+
+    monkeypatch.setattr(radon, "offset_scan", kernel)
+    monkeypatch.setattr(search, "offset_scan", kernel)
+    rep = brute_force(make_random(3, 5))
+    assert rep.best_segment[1] >= rep.best_chord[1] > 0.0
 
 
 def test_dense_scan_matches_oracle_on_random_boards():

@@ -213,6 +213,13 @@ def test_tail_energy_rejects_nonpositive_radius():
         tail_energy(c, -3.0)
 
 
+def test_tail_energy_rejects_nonfinite_radius():
+    c = make_parity(2)
+    for a in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="radius"):
+            tail_energy(c, a)
+
+
 def test_tail_energy_zero_board():
     z = Coloring(2, np.zeros((2, 2)))
     rep = tail_energy(z, 4.0)

@@ -144,6 +144,12 @@ def test_lower_bound_scan_rejects_unknown_fixture():
         lower_bound_scan(("bogus",), (4,))
 
 
+def test_lower_bound_scan_rejects_bad_seed_before_scanning():
+    # the bad descriptor comes last, at a size that would take minutes to scan
+    with pytest.raises(ValueError, match="random:x"):
+        lower_bound_scan(("parity", "random:x"), (256,))
+
+
 def test_snap_is_identity_on_grid_points():
     scale = float(8**10)
     for x in (0.0, 1.0, 3.25, 7.0 + 1234.0 / scale):
