@@ -102,10 +102,13 @@ def _entry_index(w: float, d: float, n: int):
 def cell_crossings(s: Segment, n: int) -> CrossingList:
     """Exact decomposition of s intersected with [0, n]^2 into per-cell pieces.
 
-    Walks gridline crossings parametrically; crossing parameters are always
-    recomputed from endpoint differences, never accumulated.  A pass through
-    a lattice point advances both indices at once.  t_in/t_out are arclengths
-    from s.a; piece lengths telescope to the clipped length exactly.
+    Clips s to the board first and walks gridline crossings in the clipped
+    segment's own parameter, so the lattice-point tie tolerance is relative
+    to at most sqrt(2) n of arclength however long s is.  Crossing
+    parameters are always recomputed from endpoint differences, never
+    accumulated.  A pass through a lattice point advances both indices at
+    once.  t_in/t_out are arclengths from s.a; piece lengths telescope to
+    the clipped length exactly.
     """
     if n < 1:
         raise ValueError(f"board side must be a positive integer, got {n}")
@@ -124,34 +127,41 @@ def cell_crossings(s: Segment, n: int) -> CrossingList:
     j = _entry_index(y0, dy, n)
     if i is None or j is None:
         return CrossingList(())
+    # The clipped segment (x0, y0) + u (cx, cy), u in [0, 1].  Its
+    # differences keep the signs of (dx, dy) or round to 0, in which case
+    # that axis is never crossed.
+    cx = min(max(ax + t1 * dx, 0.0), float(n)) - x0
+    cy = min(max(ay + t1 * dy, 0.0), float(n)) - y0
+    lnc = math.hypot(cx, cy)
+    off = t0 * ln
     sx = 1 if dx > 0.0 else (-1 if dx < 0.0 else 0)
     sy = 1 if dy > 0.0 else (-1 if dy < 0.0 else 0)
 
     def next_tx(ii: int) -> float:
-        if sx > 0:
-            return ((ii + 1) - ax) / dx
-        if sx < 0:
-            return (ii - ax) / dx
+        if cx > 0.0:
+            return ((ii + 1) - x0) / cx
+        if cx < 0.0:
+            return (ii - x0) / cx
         return math.inf
 
     def next_ty(jj: int) -> float:
-        if sy > 0:
-            return ((jj + 1) - ay) / dy
-        if sy < 0:
-            return (jj - ay) / dy
+        if cy > 0.0:
+            return ((jj + 1) - y0) / cy
+        if cy < 0.0:
+            return (jj - y0) / cy
         return math.inf
 
     entries = []
-    t = t0
+    t = 0.0
     tx, ty = next_tx(i), next_ty(j)
     while True:
         tn = min(tx, ty)
-        if tn >= t1 - _TIE:
-            if t1 > t:
-                entries.append(Crossing(i, j, (t1 - t) * ln, t * ln, t1 * ln))
+        if tn >= 1.0 - _TIE:
+            if t < 1.0:
+                entries.append(Crossing(i, j, (1.0 - t) * lnc, off + t * lnc, off + lnc))
             break
         if tn > t:
-            entries.append(Crossing(i, j, (tn - t) * ln, t * ln, tn * ln))
+            entries.append(Crossing(i, j, (tn - t) * lnc, off + t * lnc, off + tn * lnc))
         if tx <= tn + _TIE:
             i += sx
             tx = next_tx(i)

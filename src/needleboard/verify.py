@@ -184,13 +184,16 @@ def lower_bound_scan(fixtures, n_list, threads: int = 1) -> tuple[LowerBoundRow,
     """Chord maxima against certificates on the named fixtures.
 
     Raises RuntimeError if any certificate exceeds the chord maximum found,
-    since the certificate is a proven lower bound for it.
+    since the certificate is a proven lower bound for it.  Needs n >= 1.
     """
+    ns = tuple(int(n) for n in n_list)
+    if ns and min(ns) < 1:
+        raise ValueError(f"board sizes must be at least 1, got n={min(ns)}")
     rows = []
     makers = [(descriptor, _fixture_maker(descriptor)) for descriptor in fixtures]
     for descriptor, make in makers:
-        for n in n_list:
-            c = make(int(n))
+        for n in ns:
+            c = make(n)
             _, v = best_chord(c, angles=lower_scan_angles(c.n), threads=threads)
             bound, radius = certified_lower_bound(c)
             if v < bound:

@@ -122,7 +122,7 @@ def test_certify_reports_sound_pair(tmp_path, capsys):
     doc = _run_json(["certify", "--board", board], capsys)
     res = doc["result"]
     assert 0.0 < res["certificate"] <= res["best_chord"]["value"]
-    assert res["radius"] >= 1.0
+    assert res["radius"] == 1.0
 
 
 def test_spectrum_split_and_slice(tmp_path, capsys):
@@ -205,6 +205,8 @@ def test_bad_segment_names_token(capsys):
     (["spectrum", "--board", "b.txt", "--a", "inf"], None, "--a"),
     (["tail", "--seg", "0,0.5,4,0.5", "--lambdas", "1,nan"], None, "--lambdas"),
     (["verify-lower", "--ns", "4", "--fixtures", "parity,random:x"], None, "random:x"),
+    (["verify-lower", "--ns", "-2"], None, "n=-2"),
+    (["verify-lower", "--ns", "4,0"], None, "n=0"),
 ])
 def test_bad_input_exits_one_naming_it(argv, env, named, capsys, monkeypatch):
     if env is not None:

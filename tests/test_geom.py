@@ -59,6 +59,18 @@ def test_crossings_lattice_point_pass():
     assert [(e.i, e.j) for e in cl] == [(0, 0), (1, 1)]
 
 
+def test_crossings_of_very_long_segments():
+    # A row probe far longer than the board still meets all 16 cells: the
+    # tie tolerance applies to the clipped segment, not to the whole one.
+    c = make_parity(16)
+    for length in (1e14, 1e15, 1e100):
+        s = Segment((0.0, 0.5), (length, 0.5))
+        cl = cell_crossings(s, 16)
+        assert [(e.i, e.j) for e in cl] == [(i, 0) for i in range(16)]
+        assert cl.total_length() == 16.0
+        assert integrate(c, s) == 0.0
+
+
 def test_half_open_ownership():
     # A piece on gridline y = 1 belongs to row 1.
     cl = cell_crossings(Segment((0.25, 1.0), (1.75, 1.0)), 2)

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from mpmath import iv
 
 from needleboard.board import (
     Coloring,
@@ -15,6 +18,7 @@ from needleboard.board import (
     sum_squares,
 )
 from needleboard.radon import Direction
+from needleboard.search import brute_force
 from needleboard.spectral import (
     EnergyReport,
     certified_lower_bound,
@@ -231,8 +235,8 @@ def test_certified_lower_bound_fixtures():
         for c in (make_constant(n, +1), make_parity(n), make_random(n, seed=1)):
             bound, a_used = certified_lower_bound(c)
             assert 0.0 < bound <= math.sqrt(2.0) * n
-            assert a_used >= 1.0
-            # the radius must actually satisfy the half-energy condition
+            assert a_used == 1.0
+            # independent numeric oracle for the half-energy condition
             assert tail_energy(c, a_used).tail <= 0.5 * sum_squares(c) + 1e-9
 
 
@@ -247,3 +251,56 @@ def test_certified_lower_bound_rejects_zero_board():
     z = Coloring(2, np.zeros((2, 2)))
     with pytest.raises(ValueError):
         certified_lower_bound(z)
+
+
+def _m_in_lower_bound(b1: int, b2: int, boxes: int):
+    # Rigorous lower bound of m_in on the box [b1, b1+1] x [b2, b2+1] / boxes.
+    # Shifted by k in {-1, 0}, each coordinate interval lies in [0, 1] or in
+    # [-1, 0], where sinc^2 falls with |x|: its minimum is at the endpoint
+    # farthest from 0.  A term counts only when that farthest corner lies
+    # strictly inside the unit disk, so the whole box does; the other terms
+    # are >= 0 and are dropped.
+    def sinc2(x):
+        px = iv.pi * x
+        return (iv.sin(px) / px) ** 2
+
+    total = iv.mpf(0)
+    for k1 in (-1, 0):
+        far1 = iv.mpf(b1 + 1) / boxes if k1 == 0 else iv.mpf(b1) / boxes - 1
+        for k2 in (-1, 0):
+            far2 = iv.mpf(b2 + 1) / boxes if k2 == 0 else iv.mpf(b2) / boxes - 1
+            if (far1 * far1 + far2 * far2).b < 1:
+                total += sinc2(far1) * sinc2(far2)
+    return total.a
+
+
+def test_unit_disk_holds_half_the_energy_of_every_board():
+    # The proof behind certified_lower_bound's radius 1.0 (spectral module
+    # docstring): inf m_in > 1/2 on [0, 1]^2, in interval arithmetic over
+    # 32 x 32 boxes (16 x 16 boxes give only 0.5088).  At the worst point,
+    # eta = (1/2, 1/2), all four shifts weigh sinc(1/2)^4 = (4/pi^2)^2, so
+    # the proved bound must stay below 64/pi^4.
+    boxes = 32
+    lows = [_m_in_lower_bound(b1, b2, boxes) for b1 in range(boxes) for b2 in range(boxes)]
+    assert all(low > 0.5 for low in lows)
+    assert 0.5788 < min(lows) < 64.0 / math.pi**4
+
+
+@st.composite
+def real_boards(draw):
+    n = draw(st.integers(1, 6))
+    cell = draw(st.sampled_from([
+        st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+        st.floats(0.0, 4.0, allow_nan=False, allow_infinity=False),
+    ]))
+    values = np.array(draw(st.lists(cell, min_size=n * n, max_size=n * n)))
+    if not np.any(values**2 > 0.0):
+        values[0] = 1.0
+    return Coloring(n, values.reshape(n, n))
+
+
+@given(real_boards())
+def test_certificate_is_sound_on_real_boards(c):
+    bound, a_used = certified_lower_bound(c)
+    assert a_used == 1.0
+    assert 0.0 < bound <= brute_force(c).best_chord[1]
