@@ -19,7 +19,9 @@ from .board import (
     sum_squares,
     write_text,
 )
-from .geom import Crossing, CrossingList, Segment, cell_crossings, integrate, integrate_mc
+from .geom import (
+    Crossing, CrossingList, Segment, cell_crossings, clip_line, integrate, integrate_mc,
+)
 from .radon import (
     Chord,
     Direction,
@@ -88,6 +90,7 @@ __all__ = [
     "certified_lower_bound",
     "chi_q_hat",
     "chord_segment",
+    "clip_line",
     "default_angles",
     "f_hat",
     "hoeffding_tail",

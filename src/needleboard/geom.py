@@ -1,9 +1,10 @@
 """Exact geometry of segments against the unit grid.
 
 Decomposes a segment into per-cell pieces by parametric grid walking and
-integrates cell values along it.  Boundary ownership is half-open: a piece
-lying exactly on gridline x = i belongs to column i (same for rows), and
-pieces on x = n or y = n belong to no cell.
+integrates cell values along it.  clip_line is the package's one scalar
+board clip; radon.chord_segment clips chords with it too.  Boundary
+ownership is half-open: a piece lying exactly on gridline x = i belongs to
+column i (same for rows), and pieces on x = n or y = n belong to no cell.
 """
 
 from __future__ import annotations
@@ -67,25 +68,27 @@ class CrossingList:
         return float(sum(e.length for e in self.entries))
 
 
-def _clip_parameter_range(ax: float, ay: float, dx: float, dy: float, n: int):
-    # Liang-Barsky: [t0, t1] within [0, 1] where (ax, ay) + t*(dx, dy) stays
-    # in [0, n]^2; None when the intersection is empty or a single point.
-    t0, t1 = 0.0, 1.0
-    for p, q in ((-dx, ax), (dx, n - ax), (-dy, ay), (dy, n - ay)):
-        if p == 0.0:
-            if q < 0.0:
+def clip_line(px: float, py: float, dx: float, dy: float, n: int,
+              lo: float = -math.inf, hi: float = math.inf):
+    """Liang-Barsky clip: the part [r0, r1] of [lo, hi] where the point
+    (px, py) + r (dx, dy) lies in [0, n]^2, or None when it is empty.
+
+    r is measured from the anchor (px, py), so the clip is as precise as
+    the anchor is near the board.  A single point comes back as (r, r).
+    """
+    for p0, d in ((px, dx), (py, dy)):
+        if d == 0.0:
+            if not 0.0 <= p0 <= n:
                 return None
         else:
-            r = q / p
-            if p < 0.0:
-                if r > t0:
-                    t0 = r
-            else:
-                if r < t1:
-                    t1 = r
-    if t0 >= t1:
-        return None
-    return t0, t1
+            r0, r1 = (0.0 - p0) / d, (n - p0) / d
+            lo, hi = max(lo, min(r0, r1)), min(hi, max(r0, r1))
+    return (lo, hi) if lo <= hi else None
+
+
+def _outside(p: tuple[float, float], n: int) -> float:
+    # L-infinity distance from p to the board [0, n]^2 (0 on or inside it)
+    return max(-p[0], p[0] - n, -p[1], p[1] - n, 0.0)
 
 
 def _entry_index(w: float, d: float, n: int):
@@ -102,23 +105,33 @@ def _entry_index(w: float, d: float, n: int):
 def cell_crossings(s: Segment, n: int) -> CrossingList:
     """Exact decomposition of s intersected with [0, n]^2 into per-cell pieces.
 
-    Clips s to the board first and walks gridline crossings in the clipped
-    segment's own parameter, so the lattice-point tie tolerance is relative
-    to at most sqrt(2) n of arclength however long s is.  Crossing
-    parameters are always recomputed from endpoint differences, never
-    accumulated.  A pass through a lattice point advances both indices at
-    once.  t_in/t_out are arclengths from s.a; piece lengths telescope to
-    the clipped length exactly.
+    Clips s to the board (clip_line) from the endpoint nearer to it, by
+    L-infinity distance outside the board with ties to s.a; when s.b is
+    nearer, the reversed segment is walked and its pieces are reversed.  A
+    far endpoint thus cannot round the clip away, and the walk starts at an
+    endpoint whenever one lies on the board.  Gridline crossings are walked
+    in the clipped segment's own parameter, so the lattice-point tie
+    tolerance is relative to at most sqrt(2) n of arclength however long s
+    is.  Crossing parameters are always recomputed from endpoint
+    differences, never accumulated.  A pass through a lattice point advances
+    both indices at once.  t_in/t_out are arclengths from s.a; piece lengths
+    telescope to the clipped length exactly.  Raises ValueError when the
+    length of s is not a finite float.
     """
     if n < 1:
         raise ValueError(f"board side must be a positive integer, got {n}")
     ax, ay = s.a
     dx, dy = s.b[0] - ax, s.b[1] - ay
     ln = math.hypot(dx, dy)
+    if not math.isfinite(ln):
+        raise ValueError(f"segment {s.a} -> {s.b}: its length is not a finite float")
     if ln == 0.0:
         return CrossingList(())
-    rng = _clip_parameter_range(ax, ay, dx, dy, n)
-    if rng is None:
+    if _outside(s.b, n) < _outside(s.a, n):
+        back = cell_crossings(Segment(s.b, s.a), n).entries[::-1]
+        return CrossingList(tuple(e._replace(t_in=ln - e.t_out, t_out=ln - e.t_in) for e in back))
+    rng = clip_line(ax, ay, dx, dy, n, 0.0, 1.0)
+    if rng is None or rng[0] >= rng[1]:  # a single point has no pieces
         return CrossingList(())
     t0, t1 = rng
     x0 = min(max(ax + t0 * dx, 0.0), float(n))

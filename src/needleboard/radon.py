@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .board import Coloring
-from .geom import Segment, cell_crossings
+from .geom import Segment, cell_crossings, clip_line
 from .geom import integrate  # noqa: F401  (kept as a module attribute; perfbench/spans.py hooks it)
 
 _HALF_PI = math.pi / 2
@@ -102,18 +102,10 @@ def chord_segment(n: int, ch: Chord) -> Segment:
     ux, uy = ch.direction.u
     vx, vy = ch.direction.uperp
     px, py = ch.t * ux, ch.t * uy
-    lo, hi = -math.inf, math.inf
-    for p0, d in ((px, vx), (py, vy)):
-        if d == 0.0:
-            if not 0.0 <= p0 <= n:
-                return Segment((px, py), (px, py))
-        else:
-            r0, r1 = (0.0 - p0) / d, (n - p0) / d
-            if r0 > r1:
-                r0, r1 = r1, r0
-            lo, hi = max(lo, r0), min(hi, r1)
-    if hi < lo:
+    rng = clip_line(px, py, vx, vy, n)
+    if rng is None:
         return Segment((px, py), (px, py))
+    lo, hi = rng
     return Segment((px + lo * vx, py + lo * vy), (px + hi * vx, py + hi * vy))
 
 

@@ -112,23 +112,21 @@ def best_segment(c: Coloring, angles: int | None = None,
     return _segment_winner(results)
 
 
-def _ratios(n: int, seg_val: float) -> tuple[float, float | None]:
-    r1 = seg_val / math.sqrt(n)
-    r2 = seg_val / math.sqrt(n * math.log(n)) if n > 1 else None
-    return r1, r2
+def _report(n: int, dirs: list[Direction], results,
+            strategy: SearchStrategy) -> DiscrepancyReport:
+    # Both winners (first max) of one pass over dirs, plus the segment ratios.
+    seg = _segment_winner(results)
+    r2 = seg[1] / math.sqrt(n * math.log(n)) if n > 1 else None
+    return DiscrepancyReport(n, _chord_winner(dirs, results), seg, strategy,
+                             seg[1] / math.sqrt(n), r2)
 
 
 def scan_report(c: Coloring, angles: int | None = None,
                 threads: int = 1) -> DiscrepancyReport:
     """DiscrepancyReport from one lattice-direction scan (chords and segments)."""
     dirs, results = _scan(c, angles, threads)
-    ch, vc = _chord_winner(dirs, results)
-    seg, vs = _segment_winner(results)
-    r1, r2 = _ratios(c.n, vs)
     used = angles if angles is not None else default_angles(c.n)
-    return DiscrepancyReport(
-        c.n, (ch, vc), (seg, vs), SearchStrategy(used, False), r1, r2
-    )
+    return _report(c.n, dirs, results, SearchStrategy(used, False))
 
 
 def _lattice_directions(n: int, budget: int | None = None) -> list[Direction]:
@@ -158,15 +156,5 @@ def brute_force(c: Coloring) -> DiscrepancyReport:
     if c.n > _BRUTE_LIMIT:
         raise ValueError(f"brute_force is limited to n <= {_BRUTE_LIMIT}, got {c.n}")
     dirs = _lattice_directions(c.n)
-    bc: tuple[Chord, float] | None = None
-    bs: tuple[Segment, float] | None = None
-    for d in dirs:
-        (t, vc), (seg, vs) = _walk_direction(c, d)
-        if bc is None or vc > bc[1]:
-            bc = (Chord(d, t), vc)
-        if bs is None or vs > bs[1]:
-            bs = (seg, vs)
-    r1, r2 = _ratios(c.n, bs[1])
-    return DiscrepancyReport(
-        c.n, bc, bs, SearchStrategy(len(dirs), True), r1, r2
-    )
+    results = [_walk_direction(c, d) for d in dirs]
+    return _report(c.n, dirs, results, SearchStrategy(len(dirs), True))

@@ -207,11 +207,15 @@ def test_bad_segment_names_token(capsys):
     (["verify-lower", "--ns", "4", "--fixtures", "parity,random:x"], None, "random:x"),
     (["verify-lower", "--ns", "-2"], None, "n=-2"),
     (["verify-lower", "--ns", "4,0"], None, "n=0"),
+    # a segment whose length overflows; BOARD stands for a real board file
+    (["integrate", "--board", "BOARD", "--seg", "1e308,0.5,-1e308,0.5"], None,
+     "(1e+308, 0.5) -> (-1e+308, 0.5)"),
 ])
-def test_bad_input_exits_one_naming_it(argv, env, named, capsys, monkeypatch):
+def test_bad_input_exits_one_naming_it(argv, env, named, capsys, monkeypatch, tmp_path):
     if env is not None:
         monkeypatch.setenv("NEEDLEBOARD_THREADS", env)
-    rc = main(argv)
+    board = _board_file(tmp_path, make_parity(4))
+    rc = main([board if a == "BOARD" else a for a in argv])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from needleboard.board import Coloring, make_constant, make_parity, make_random, make_stripes
-from needleboard.geom import Segment, cell_crossings, integrate, integrate_mc
+from needleboard.geom import Segment, cell_crossings, clip_line, integrate, integrate_mc
 
 SQRT2 = math.sqrt(2.0)
 
@@ -69,6 +71,37 @@ def test_crossings_of_very_long_segments():
         assert [(e.i, e.j) for e in cl] == [(i, 0) for i in range(16)]
         assert cl.total_length() == 16.0
         assert integrate(c, s) == 0.0
+
+
+def test_crossings_from_a_far_first_endpoint():
+    # The clip is anchored at the endpoint nearer the board, so a far first
+    # endpoint loses nothing.  Segments with both endpoints far from the
+    # board are best effort: the clip's precision is relative to the nearer
+    # endpoint's distance.
+    c = make_constant(16, 1)
+    for s in (Segment((1e20, 0.5), (0, 0.5)), Segment((1e100, 0.5), (0, 0.5)),
+              Segment((0.5, 1e20), (0.5, 0))):
+        cl = cell_crossings(s, 16)
+        assert len(cl) == 16
+        assert cl.total_length() == 16.0
+        assert integrate(c, s) == 16.0
+
+
+def test_walk_starts_at_the_nearer_endpoint():
+    # The line from (0.5, 1) toward (1e20, 0) runs just below y = 1.  Clipped
+    # from its far end, its entry point rounds onto y = 1 and would land in
+    # row 1; walked from (0.5, 1) it stays in row 0 in both orientations.
+    for s in (Segment((0.5, 1.0), (1e20, 0.0)), Segment((1e20, 0.0), (0.5, 1.0))):
+        assert {e.j for e in cell_crossings(s, 16)} == {0}
+
+
+def test_clip_line_examples():
+    assert clip_line(0.5, 0.5, 1.0, 0.0, 4) == (-0.5, 3.5)
+    assert clip_line(0.5, 0.5, 1.0, 0.0, 4, 0.0, 1.0) == (0.0, 1.0)
+    assert clip_line(-1.0, 0.5, 1.0, 0.0, 4, 0.0, 0.5) is None
+    assert clip_line(0.5, 5.0, 1.0, 0.0, 4) is None
+    # a line through a corner only: a single point
+    assert clip_line(0.0, 4.0, 1.0, 1.0, 4) == (0.0, 0.0)
 
 
 def test_half_open_ownership():
@@ -206,3 +239,93 @@ def test_integrate_mc_oracle_agreement():
         for m in (100, 1000):
             err = abs(integrate(c, s) - integrate_mc(c, s, m))
             assert err <= MC_AGREEMENT_C / m * ln
+
+
+# Properties under the suite's derandomized hypothesis profile.  Near-board
+# coordinates are multiples of 1/_GRAIN, so reflections, translations and
+# dyadic split points are exact; the far strategy reaches |coordinate| 1e20.
+_GRAIN = 64
+
+
+@st.composite
+def boards(draw):
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return Coloring(n, rng.normal(size=(n, n)))
+    return Coloring(n, rng.choice([-1.0, 1.0], size=(n, n)))
+
+
+def near_points(n):
+    # integers half the time, so gridlines and lattice points come up often
+    coord = (st.integers(-2, n + 2).map(float)
+             | st.integers(-2 * _GRAIN, (n + 2) * _GRAIN).map(lambda k: k / _GRAIN))
+    return st.tuples(coord, coord)
+
+
+far_points = st.tuples(*[st.floats(-1e20, 1e20, allow_nan=False)] * 2)
+
+
+@st.composite
+def board_and_segment(draw):
+    c = draw(boards())
+    return c, Segment(draw(near_points(c.n)), draw(near_points(c.n)))
+
+
+def _on_gridline(s):
+    # A segment along a gridline belongs to the cells on its upper/right
+    # side (half-open ownership), which no reflection preserves.
+    return any(s.a[k] == s.b[k] and s.a[k] == math.floor(s.a[k]) for k in (0, 1))
+
+
+@given(st.data())
+def test_reversal_property(data):
+    c = data.draw(boards())
+    near, far = data.draw(near_points(c.n)), data.draw(far_points)
+    s = Segment(near, far) if data.draw(st.booleans()) else Segment(far, near)
+    back = Segment(s.b, s.a)
+    fwd, rev = cell_crossings(s, c.n), cell_crossings(back, c.n)
+    assert [(e.i, e.j) for e in fwd] == [(e.i, e.j) for e in reversed(rev.entries)]
+    assert abs(fwd.total_length() - rev.total_length()) <= 1e-12 * c.n
+    assert abs(integrate(c, s) - integrate(c, back)) <= 1e-9 * c.n
+
+
+@given(board_and_segment(), st.integers(0, _GRAIN))
+def test_additivity_property(case, k):
+    c, s = case
+    f = k / _GRAIN  # exact: the split point lies on the segment
+    mid = (s.a[0] + f * (s.b[0] - s.a[0]), s.a[1] + f * (s.b[1] - s.a[1]))
+    parts = integrate(c, Segment(s.a, mid)) + integrate(c, Segment(mid, s.b))
+    assert abs(integrate(c, s) - parts) <= 1e-9 * c.n
+
+
+_DIHEDRAL = [
+    lambda x, y, n: (x, y), lambda x, y, n: (n - x, y),
+    lambda x, y, n: (x, n - y), lambda x, y, n: (n - x, n - y),
+    lambda x, y, n: (y, x), lambda x, y, n: (n - y, x),
+    lambda x, y, n: (y, n - x), lambda x, y, n: (n - y, n - x),
+]
+
+
+@given(board_and_segment(), st.sampled_from(_DIHEDRAL))
+def test_dihedral_property(case, g):
+    c, s = case
+    assume(not _on_gridline(s))
+    n = c.n
+    cells = np.empty_like(c.cells)
+    for i in range(n):
+        for j in range(n):
+            x, y = g(i + 0.5, j + 0.5, n)
+            cells[math.floor(x), math.floor(y)] = c.cells[i, j]
+    moved = Segment(g(*s.a, n), g(*s.b, n))
+    assert abs(integrate(Coloring(n, cells), moved) - integrate(c, s)) <= 1e-9 * n
+
+
+@given(board_and_segment(), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+def test_translation_into_padded_board_property(case, p, q, extra):
+    c, s = case
+    big = np.zeros((c.n + max(p, q) + extra,) * 2)
+    big[p:p + c.n, q:q + c.n] = c.cells
+    moved = Segment((s.a[0] + p, s.a[1] + q), (s.b[0] + p, s.b[1] + q))
+    got = integrate(Coloring(big.shape[0], big), moved)
+    assert abs(got - integrate(c, s)) <= 1e-9 * big.shape[0]
