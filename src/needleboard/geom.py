@@ -213,7 +213,9 @@ def integrate_mc(c: Coloring, s: Segment, m: int) -> float:
     xs = s.a[0] + f * (s.b[0] - s.a[0])
     ys = s.a[1] + f * (s.b[1] - s.a[1])
     inside = (xs >= 0.0) & (xs < n) & (ys >= 0.0) & (ys < n)
-    ii = np.clip(np.floor(xs).astype(np.int64), 0, n - 1)
-    jj = np.clip(np.floor(ys).astype(np.int64), 0, n - 1)
+    # samples off the board read cell (0, 0) and are masked out; casting
+    # only board coordinates keeps far ones from overflowing int64
+    ii = np.floor(np.where(inside, xs, 0.0)).astype(np.int64)
+    jj = np.floor(np.where(inside, ys, 0.0)).astype(np.int64)
     vals = np.where(inside, c.cells[ii, jj], 0.0)
     return ln * float(np.mean(vals))

@@ -2,12 +2,14 @@
 
 Chord and sub-segment maxima of a checkerboard are both attained along a
 primitive lattice direction (dx, dy) with |dx|, |dy| <= n, so those
-directions are the only candidates.  best_chord / best_segment / scan_report
-evaluate each candidate with radon's blocked kernel (offset_scan, every
-breakpoint offset at once) and take the witness chord and segment from the
-winning offset's events, so nothing is recomputed.  brute_force is the
-small-n oracle: it shares the enumeration of directions but evaluates every
-one of them through radon's scalar cell walk only.
+directions are the only candidates, carried as integer pairs: the search
+never rounds an angle.  best_chord / best_segment / scan_report evaluate
+each candidate, axes included, with radon.lattice_scan (every breakpoint
+chord from shifted board sums) and take the witness chord and segment from
+the winning line, so nothing is recomputed.  Ties between directions go to
+the smaller angle, with radon's tie_tolerance.  brute_force is the small-n
+oracle: it shares the enumeration of directions but evaluates every one of
+them through radon's scalar cell walk only.
 """
 
 from __future__ import annotations
@@ -16,18 +18,13 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from .board import Coloring
 from .geom import Segment
-from .radon import (
-    Chord,
-    Direction,
-    _walk_direction,
+from .radon import Chord, Direction, _first_max, _walk_direction, lattice_scan, tie_tolerance
+from .radon import (  # noqa: F401  (kept as module attributes; perfbench/run.py hooks them)
     breakpoint_offsets,
     max_chord_in_direction,
     max_segment_in_direction,
-    offset_scan,
 )
 
 _BRUTE_LIMIT = 16  # lattice-pair enumeration cost guard
@@ -57,13 +54,9 @@ def default_angles(n: int) -> int:
     return min(8 * n * n, _ANGLE_CAP)
 
 
-def _scan_direction(c: Coloring, direction: Direction):
-    # ((t*, chord max), (witness, segment max)) for one direction.  Axis
-    # directions take radon's closed forms; the others run the kernel on the
-    # breakpoints looked up here.
-    if direction.is_axis():
-        return max_chord_in_direction(c, direction), max_segment_in_direction(c, direction)
-    scan = offset_scan(c, direction, breakpoint_offsets(c.n, direction))
+def _scan_direction(c: Coloring, v: tuple[int, int]):
+    # ((t*, chord max), (witness, segment max)) for the lattice direction v.
+    scan = lattice_scan(c, *v)
     return scan.best_chord(), scan.best_segment()
 
 
@@ -76,20 +69,20 @@ def _scan(c: Coloring, angles: int | None, threads: int):
         raise ValueError(f"angle count must be at least 1, got {angles}")
     dirs = _lattice_directions(c.n, angles)
     if threads <= 1:
-        return dirs, [_scan_direction(c, d) for d in dirs]
+        return dirs, [_scan_direction(c, v) for v in dirs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return dirs, list(pool.map(lambda d: _scan_direction(c, d), dirs))
+        return dirs, list(pool.map(lambda v: _scan_direction(c, v), dirs))
 
 
-def _chord_winner(dirs: list[Direction], results) -> tuple[Chord, float]:
+def _chord_winner(dirs: list[tuple[int, int]], results, tie: float) -> tuple[Chord, float]:
     # first max: ties across directions go to smaller theta
-    k = int(np.argmax([r[0][1] for r in results]))
+    k = _first_max([r[0][1] for r in results], tie)
     t, v = results[k][0]
-    return Chord(dirs[k], t), v
+    return Chord(Direction.along(*dirs[k]), t), v
 
 
-def _segment_winner(results) -> tuple[Segment, float]:
-    return results[int(np.argmax([r[1][1] for r in results]))][1]
+def _segment_winner(results, tie: float) -> tuple[Segment, float]:
+    return results[_first_max([r[1][1] for r in results], tie)][1]
 
 
 def best_chord(c: Coloring, angles: int | None = None,
@@ -102,22 +95,23 @@ def best_chord(c: Coloring, angles: int | None = None,
     for fixed inputs.
     """
     dirs, results = _scan(c, angles, threads)
-    return _chord_winner(dirs, results)
+    return _chord_winner(dirs, results, tie_tolerance(c))
 
 
 def best_segment(c: Coloring, angles: int | None = None,
                  threads: int = 1) -> tuple[Segment, float]:
     """Maximize |integral over any sub-segment|; same strategy as best_chord."""
     _, results = _scan(c, angles, threads)
-    return _segment_winner(results)
+    return _segment_winner(results, tie_tolerance(c))
 
 
-def _report(n: int, dirs: list[Direction], results,
+def _report(c: Coloring, dirs: list[tuple[int, int]], results,
             strategy: SearchStrategy) -> DiscrepancyReport:
     # Both winners (first max) of one pass over dirs, plus the segment ratios.
-    seg = _segment_winner(results)
+    n, tie = c.n, tie_tolerance(c)
+    seg = _segment_winner(results, tie)
     r2 = seg[1] / math.sqrt(n * math.log(n)) if n > 1 else None
-    return DiscrepancyReport(n, _chord_winner(dirs, results), seg, strategy,
+    return DiscrepancyReport(n, _chord_winner(dirs, results, tie), seg, strategy,
                              seg[1] / math.sqrt(n), r2)
 
 
@@ -126,23 +120,27 @@ def scan_report(c: Coloring, angles: int | None = None,
     """DiscrepancyReport from one lattice-direction scan (chords and segments)."""
     dirs, results = _scan(c, angles, threads)
     used = angles if angles is not None else default_angles(c.n)
-    return _report(c.n, dirs, results, SearchStrategy(used, False))
+    return _report(c, dirs, results, SearchStrategy(used, False))
 
 
-def _lattice_directions(n: int, budget: int | None = None) -> list[Direction]:
-    # One direction per primitive lattice vector (dx, dy) with |dx|, |dy| <= n
-    # and dy > 0, or (dx, dy) = (1, 0); the chord runs along (dx, dy), so the
-    # offset axis is its normal.  A budget keeps the shortest vectors (ties
-    # to the smaller angle); the result is sorted by angle.
+def _lattice_directions(n: int, budget: int | None = None) -> list[tuple[int, int]]:
+    # One primitive lattice vector (dx, dy) per direction, with |dx|, |dy|
+    # <= n and dy > 0, or (dx, dy) = (1, 0); the chord runs along (dx, dy),
+    # so the offset axis is its normal.  A budget keeps the shortest vectors
+    # (ties to the smaller angle); the result is sorted by angle.
     vecs = [
         (dx, dy)
         for dy in range(n + 1)
         for dx in range(-n, n + 1)
         if (dy == 0 and dx == 1) or (dy > 0 and math.gcd(dx, dy) == 1)
     ]
-    keyed = [(dx * dx + dy * dy, Direction(math.atan2(-dx, dy))) for dx, dy in vecs]
-    keyed.sort(key=lambda kd: (kd[0], kd[1].theta))
-    return sorted((d for _, d in keyed[:budget]), key=lambda d: d.theta)
+    vecs.sort(key=lambda v: v[0] * v[0] + v[1] * v[1])
+    if budget is not None and budget < len(vecs):  # angles only where the cut needs them
+        r2 = vecs[budget - 1][0] ** 2 + vecs[budget - 1][1] ** 2
+        vecs = [v for v in vecs if v[0] * v[0] + v[1] * v[1] <= r2]
+    theta = {v: Direction.along(*v).theta for v in vecs}
+    vecs.sort(key=lambda v: (v[0] * v[0] + v[1] * v[1], theta[v]))
+    return sorted(vecs[:budget], key=theta.__getitem__)
 
 
 def brute_force(c: Coloring) -> DiscrepancyReport:
@@ -156,5 +154,5 @@ def brute_force(c: Coloring) -> DiscrepancyReport:
     if c.n > _BRUTE_LIMIT:
         raise ValueError(f"brute_force is limited to n <= {_BRUTE_LIMIT}, got {c.n}")
     dirs = _lattice_directions(c.n)
-    results = [_walk_direction(c, d) for d in dirs]
-    return _report(c.n, dirs, results, SearchStrategy(len(dirs), True))
+    results = [_walk_direction(c, Direction.along(*v)) for v in dirs]
+    return _report(c, dirs, results, SearchStrategy(len(dirs), True))

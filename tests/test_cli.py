@@ -263,6 +263,13 @@ def _cli(argv, env=None):
     )
 
 
+def test_monte_carlo_far_segment_writes_nothing_to_stderr(tmp_path):
+    board = _board_file(tmp_path, make_parity(4))
+    run = _cli(["integrate", "--board", board, "--seg", "0.5,0,0.5,1e100", "--mc", "1000"])
+    assert run.returncode == 0
+    assert run.stderr == b""
+
+
 def test_reports_byte_identical_across_runs_and_threads(tmp_path):
     board = _board_file(tmp_path, make_random(8, 11))
     commands = [

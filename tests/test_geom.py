@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,15 @@ def test_integrate_mc_degenerate():
     assert integrate_mc(make_parity(2), Segment((1, 1), (1, 1)), 1) == 0.0
     with pytest.raises(ValueError):
         integrate_mc(make_parity(2), Segment((0, 0), (1, 1)), 0)
+
+
+def test_integrate_mc_far_samples_cast_without_warning():
+    # every sample of this segment lies far above the board; they are masked
+    # out before the int64 cast, so numpy has nothing to warn about
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = integrate_mc(make_constant(16, 1), Segment((0.5, 0.0), (0.5, 1e100)), 1000)
+    assert got == 0.0
 
 
 def test_integrate_mc_oracle_agreement():

@@ -1,9 +1,11 @@
-"""Properties of radon's blocked kernel against the scalar cell walk.
+"""Properties of radon's two kernels against the scalar cell walk.
 
-Boards are +-1 or real with n from 1 to 12; directions are generic angles,
-primitive lattice directions and both axes.  Generic angles stay 1e-3 away
-from the axes: near an axis the profile's slope grows like 1/sin, so both
-paths agree only to the conditioning of the offset itself.
+Boards are +-1 or real with n from 1 to 12.  offset_scan is checked at
+generic angles, primitive lattice directions and both axes; generic angles
+stay 1e-3 away from the axes: near an axis the profile's slope grows like
+1/sin, so both paths agree only to the conditioning of the offset itself.
+lattice_scan is checked at every primitive lattice direction, axes included,
+values and witnesses both.
 """
 
 import math
@@ -18,7 +20,9 @@ from needleboard.radon import (
     Chord,
     Direction,
     _walk_direction,
+    breakpoint_offsets,
     chord_segment,
+    lattice_scan,
     max_chord_in_direction,
     max_segment_in_direction,
     offset_scan,
@@ -106,3 +110,45 @@ def test_any_offset_in_any_block(case):
         part = offset_scan(c, d, ts[lo:lo + 7])
         for a, b in zip(whole[2:], part[2:]):
             assert np.array_equal(a[lo:lo + 7], b)
+
+
+@st.composite
+def lattice_cases(draw):
+    # any primitive (dx, dy) with |dx|, |dy| <= n, either sign, both axes
+    c = draw(boards())
+    dx = draw(st.integers(-c.n, c.n))
+    dy = draw(st.integers(-c.n, c.n).filter(lambda y: y or dx))
+    g = math.gcd(dx, dy)
+    return c, (dx // g, dy // g)
+
+
+@settings(max_examples=200)
+@given(lattice_cases())
+def test_lattice_kernel_equals_the_scalar_oracle(case):
+    # values and both witnesses of lattice_scan against _walk_direction,
+    # on the breakpoint offsets of the same direction
+    c, v = case
+    tol = 1e-9 * c.n
+    d = Direction.along(*v)
+    scan = lattice_scan(c, *v)
+    assert scan.direction == d
+    assert np.max(np.abs(scan.offsets - breakpoint_offsets(c.n, d))) <= tol
+    (t_walk, vc_walk), (seg_walk, vs_walk) = _walk_direction(c, d)
+    t, vc = scan.best_chord()
+    seg, vs = scan.best_segment()
+    assert abs(t - t_walk) <= tol
+    assert abs(vc - vc_walk) <= tol
+    assert abs(vs - vs_walk) <= tol
+    assert max(abs(p - q) for p, q in zip(seg.a + seg.b, seg_walk.a + seg_walk.b)) <= tol
+
+
+@settings(max_examples=50)
+@given(lattice_cases())
+def test_lattice_chords_equal_offset_scan_at_every_breakpoint(case):
+    # every line's chord value and prefix range, not only the best
+    c, v = case
+    d = Direction.along(*v)
+    scan = lattice_scan(c, *v)
+    ref = offset_scan(c, d, breakpoint_offsets(c.n, d))
+    for a, b in zip(scan[3:6], ref[3:6]):
+        assert np.max(np.abs(a - b)) <= 1e-9 * c.n

@@ -14,7 +14,12 @@ from needleboard.board import (
     make_random,
     make_stripes,
 )
-from needleboard.radon import Direction, _walk_direction
+from needleboard.radon import (
+    Direction,
+    _walk_direction,
+    max_chord_in_direction,
+    max_segment_in_direction,
+)
 from needleboard.search import (
     DiscrepancyReport,
     best_chord,
@@ -23,22 +28,55 @@ from needleboard.search import (
     default_angles,
     scan_report,
     _lattice_directions,
+    _scan,
     _scan_direction,
 )
 from needleboard.spectral import certified_lower_bound
 
 
 def test_vectorized_direction_scan_matches_scalar_path():
+    # generic angles (and the axes as angles) run offset_scan through
+    # max_*_in_direction; every lattice pair, axes included, runs
+    # lattice_scan through _scan_direction
     rng = np.random.default_rng(3)
     for n, seed in ((2, 1), (4, 3), (6, 0), (8, 9)):
         c = make_random(n, seed)
         thetas = list(rng.uniform(0.01, math.pi - 0.01, 6)) + [0.0, math.pi / 2]
         for theta in thetas:
             d = Direction(float(theta))
-            (_, vc_fast), (_, vs_fast) = _scan_direction(c, d)
+            _, vc_fast = max_chord_in_direction(c, d)
+            _, vs_fast = max_segment_in_direction(c, d)
             (_, vc_exact), (_, vs_exact) = _walk_direction(c, d)
             assert vc_fast == pytest.approx(vc_exact, abs=1e-12)
             assert vs_fast == pytest.approx(vs_exact, abs=1e-12)
+        for v in _lattice_directions(n):
+            (_, vc_fast), (_, vs_fast) = _scan_direction(c, v)
+            (_, vc_exact), (_, vs_exact) = _walk_direction(c, Direction.along(*v))
+            assert vc_fast == pytest.approx(vc_exact, abs=1e-12)
+            assert vs_fast == pytest.approx(vs_exact, abs=1e-12)
+
+
+def test_tie_heavy_boards_pick_the_same_witnesses_on_both_routes():
+    # Boards whose chords and prefixes tie exactly: every direction's
+    # lattice_scan winners (search route) equal the offset_scan winners of
+    # max_*_in_direction, and scan_report reports one of them.
+    for n in range(2, 13):
+        tol = 1e-12 * n
+        for c in (make_constant(n, +1), make_parity(n), make_stripes(n, "horizontal"),
+                  make_stripes(n, "vertical")):
+            dirs, results = _scan(c, None, 1)
+            rep = scan_report(c)
+            for v, ((t, vc), (seg, vs)) in zip(dirs, results):
+                d = Direction.along(*v)
+                t_ref, vc_ref = max_chord_in_direction(c, d)
+                seg_ref, vs_ref = max_segment_in_direction(c, d)
+                assert abs(t - t_ref) <= tol and abs(vc - vc_ref) <= tol
+                assert abs(vs - vs_ref) <= tol
+                assert max(abs(p - q) for p, q in zip(seg.a + seg.b, seg_ref.a + seg_ref.b)) <= tol
+            ch, vc = rep.best_chord
+            k = [Direction.along(*v) for v in dirs].index(ch.direction)
+            assert (ch.t, vc) == results[k][0]
+            assert rep.best_segment in [r[1] for r in results]
 
 
 def test_best_chord_constant_board_is_the_diagonal():
@@ -89,10 +127,11 @@ def test_brute_force_never_reaches_the_kernel(monkeypatch):
     import needleboard.search as search
 
     def kernel(*args):
-        raise AssertionError("brute_force reached offset_scan")
+        raise AssertionError("brute_force reached a kernel")
 
     monkeypatch.setattr(radon, "offset_scan", kernel)
-    monkeypatch.setattr(search, "offset_scan", kernel)
+    monkeypatch.setattr(radon, "lattice_scan", kernel)
+    monkeypatch.setattr(search, "lattice_scan", kernel)
     rep = brute_force(make_random(3, 5))
     assert rep.best_segment[1] >= rep.best_chord[1] > 0.0
 
@@ -128,10 +167,13 @@ def test_lattice_directions_are_the_lattice_pair_directions():
             spanned.add((dx, dy))
         got = _lattice_directions(n)
         assert len(got) == len(spanned)
-        assert [d.theta for d in got] == sorted(d.theta for d in got)
+        assert set(got) == spanned
+        thetas = [Direction.along(*v).theta for v in got]
+        assert thetas == sorted(thetas)
         for dx, dy in spanned:
             # the chord of a direction runs along its uperp
-            assert any(abs(d.uperp[0] * dy - d.uperp[1] * dx) < 1e-9 for d in got)
+            ux, uy = Direction.along(dx, dy).uperp
+            assert abs(ux * dy - uy * dx) < 1e-9
 
 
 def test_smaller_budget_is_a_prefix_of_a_larger_one():
@@ -142,7 +184,8 @@ def test_smaller_budget_is_a_prefix_of_a_larger_one():
         dirs = _lattice_directions(n, budget)
         assert len(dirs) == min(budget, len(full))
         assert prev <= set(dirs)
-        assert [d.theta for d in dirs] == sorted(d.theta for d in dirs)
+        thetas = [Direction.along(*v).theta for v in dirs]
+        assert thetas == sorted(thetas)
         prev = set(dirs)
     assert prev == set(full)
 
