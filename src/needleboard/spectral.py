@@ -23,6 +23,22 @@ the integers is 1 on each axis; so the cell integral of |phi|^2 is the total
 and the tail is at most (1 - inf m_in) * total, with no truncation.
 tests/test_spectral.py proves inf m_in > 0.5788 in interval arithmetic; on a
 fine grid the infimum is 4 (4/pi^2)^2 = 64/pi^4 ~ 0.6570, at eta = (1/2, 1/2).
+
+The quadrature in tail_energy sums a midpoint grid xi_k = -A + (k + 1/2) h,
+h = 2A/G, over the open disk, sampling the lower half of the first axis and
+doubling.  |F|^2 = sinc^2(xi1) sinc^2(xi2) |phi|^2, and by Wiener-Khinchin
+|phi(xi)|^2 = sum_d R(d) cos(2 pi d.xi), where R(d) = sum_q z_(q+d) z_q is the
+board's autocorrelation on |d1|, |d2| < n (one zero-padded FFT).  Expanding
+cos(2 pi d.xi) = cos cos - sin sin and folding R(-d) = R(d) onto d1, d2 >= 0
+leaves two lag-by-lag kernels.  Each grid row keeps the second-axis samples
+of one index interval, so that row's sums of sinc^2 cos(2 pi d2 xi2) and
+sinc^2 sin(2 pi d2 xi2) over it come from running sums along the half axes,
+accumulated from the centre outward; one (n x G/2)(G/2 x n) product per
+kernel then sums the rows.  A grid costs O(n^2 log n + G n^2), against
+O(G^2 n) for forming phi at every sample, and no G x G array is built.  The
+sine sums vanish on a symmetric interval of exactly mirrored samples; they
+are kept so that the sample set is the disk predicate's, whatever the
+rounding of the sample points.
 """
 
 from __future__ import annotations
@@ -147,45 +163,97 @@ def _pow2_at_least(x: float) -> int:
     return g
 
 
+def _disk_rows(xi: np.ndarray, r2: float) -> tuple[np.ndarray, np.ndarray]:
+    # Row k1 < G/2 keeps the second-axis samples with xi1^2 + xi2^2 < r2,
+    # the predicate evaluated as written.  Along each half axis, from the
+    # centre outward, xi2^2 never decreases, so they form one index
+    # interval: return how many lie below the centre and how many above.
+    # searchsorted on the rounded threshold places each boundary; the
+    # fix-up steps across the rounding until the predicate holds at the
+    # last counted sample and fails at the first uncounted one.
+    half = xi.size // 2
+    sq = xi**2
+    x1sq = sq[:half]
+    counts = []
+    for q in (sq[half - 1 :: -1], sq[half:]):
+        m = np.searchsorted(q, r2 - x1sq)
+        while True:
+            down = (m > 0) & ~(x1sq + q[np.maximum(m - 1, 0)] < r2)
+            up = ~down & (m < half) & (x1sq + q[np.minimum(m, half - 1)] < r2)
+            if not (down.any() or up.any()):
+                break
+            m = m - down + up
+        counts.append(m)
+    return counts[0], counts[1]
+
+
+def _row_kernel(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # K[d1, d2] = sum over rows k1 < G/2 of w[d1, k1] times the sum of
+    # w[d2, k2] over the row's interval: a_k1 samples below the centre and
+    # b_k1 above it, read off running sums from the centre outward.
+    half = w.shape[1] // 2
+    zero = np.zeros((w.shape[0], 1))
+    below = np.concatenate([zero, np.cumsum(w[:, half - 1 :: -1], axis=1)], axis=1)
+    above = np.concatenate([zero, np.cumsum(w[:, half:], axis=1)], axis=1)
+    return w[:, :half] @ (np.take(below, a, axis=1) + np.take(above, b, axis=1)).T
+
+
 def _disk_energy_grid(c: Coloring, a_radius: float, grid: int) -> float:
-    # Midpoint tensor grid on [-A, A]^2 masked to the open disk.  Only
-    # magnitudes enter, so the phase factors drop out.  The integrand is
-    # symmetric under xi -> -xi (real weights), so sample the lower half
-    # of the first axis and double.
+    # Midpoint grid on [-A, A]^2 restricted to the open disk, with only the
+    # lower half of the first axis sampled and doubled (real weights), summed
+    # in the lag domain: |phi(xi)|^2 = sum_d R(d) cos(2 pi d.xi), module
+    # docstring.  Row k1 keeps the axis-2 samples of one index interval,
+    # a_k1 of them below the centre and b_k1 above it.
+    n = c.n
     h = 2.0 * a_radius / grid
     xi = -a_radius + (np.arange(grid) + 0.5) * h
     s2 = np.sinc(xi) ** 2
-    ee = np.exp(-2j * math.pi * np.outer(np.arange(c.n), xi))
-    m = c.cells @ ee
-    r2 = a_radius * a_radius
-    block = max(1, (1 << 22) // grid)
-    half = grid // 2
-    total = 0.0
-    for lo in range(0, half, block):
-        hi = min(half, lo + block)
-        ph = ee[:, lo:hi].T @ m
-        w = (ph.real**2 + ph.imag**2) * s2[None, :] * s2[lo:hi, None]
-        inside = (xi[lo:hi, None] ** 2 + xi[None, :] ** 2) < r2
-        total += float(np.sum(w, where=inside))
-    return 2.0 * total * h * h
+    a, b = _disk_rows(xi, a_radius * a_radius)
+    # Tables s2(xi_k) cos(2 pi d xi_k) and s2(xi_k) sin(2 pi d xi_k), d < n.
+    angle = (2.0 * math.pi) * np.outer(np.arange(n), xi)
+    k_cos, k_sin = (_row_kernel(s2 * f(angle), a, b) for f in (np.cos, np.sin))
+    # Autocorrelation R(d) = sum_q z_(q+d) z_q on |d1|, |d2| < n, from one
+    # zero-padded FFT; p = R(d1, d2) and m = R(-d1, d2) for d1, d2 >= 0.
+    # cos(2 pi d.xi) = cos cos - sin sin; over the sign variants of a lag
+    # (two per nonzero coordinate) R(-d) = R(d) folds the even term to
+    # (p + m)/2 and the odd one to (p - m)/2 per variant.
+    spec = np.fft.rfft2(c.cells, s=(2 * n, 2 * n))
+    corr = np.fft.irfft2(spec.real**2 + spec.imag**2, s=(2 * n, 2 * n))
+    p = corr[:n, :n]
+    m = corr[(-np.arange(n)) % (2 * n), :n]
+    mult = np.where(np.arange(n) > 0, 2.0, 1.0)
+    weight = 0.5 * mult[:, None] * mult[None, :]
+    total = np.sum(weight * ((p + m) * k_cos - (p - m) * k_sin))
+    return 2.0 * float(total) * h * h
 
 
 def tail_energy(c: Coloring, a_radius: float) -> EnergyReport:
     """Energy inside/outside the disk |xi| < A, by adaptive 2-D quadrature.
 
-    Resolution doubles until the disk integral is stable to 1e-4 relative
-    (against the total, which Parseval pins exactly), capped at 2^15 samples
-    per axis.
+    The disk integral is a midpoint sum over the open disk on a G x G grid
+    of [-A, A]^2, taken in the lag domain (module docstring) at
+    O(n^2 log n + G n^2) cost.  G starts at the least power of two, at
+    least 64, covering 8 samples per unit per n, and doubles until the
+    sums at G and G/2 agree to 1e-4 relative (against the total, which
+    Parseval pins exactly), capped at 2^15 samples per axis.  A radius
+    whose starting grid would pass that cap, 8 A n > 2^15, raises
+    ValueError: a coarser step would undersample the integrand.
     """
     if not (math.isfinite(a_radius) and a_radius > 0):
         raise ValueError(f"disk radius must be positive and finite, got {a_radius}")
+    n = max(c.n, 1)
+    if 8.0 * a_radius * n > _GRID_CAP:
+        raise ValueError(
+            f"disk radius {a_radius} is too large for an n={c.n} board: "
+            f"the quadrature grid allows at most {_GRID_CAP / (8 * n)}"
+        )
     total = sum_squares(c)
     if total == 0.0:
         return EnergyReport(0.0, float(a_radius), 0.0, 0.0, None, 0)
     # The trig-polynomial factor has difference frequencies below n per
     # axis, so 8 samples per unit per n oversamples it 4x; the grid scales
     # with the radius to keep that density.
-    grid = min(_GRID_CAP, _pow2_at_least(8.0 * a_radius * max(c.n, 1)))
+    grid = _pow2_at_least(8.0 * a_radius * n)
     prev = _disk_energy_grid(c, a_radius, grid // 2)
     cur = _disk_energy_grid(c, a_radius, grid)
     while abs(cur - prev) > _REL_TOL * max(total, abs(cur)) and grid < _GRID_CAP:

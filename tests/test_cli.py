@@ -210,6 +210,8 @@ def test_bad_segment_names_token(capsys):
     # a segment whose length overflows; BOARD stands for a real board file
     (["integrate", "--board", "BOARD", "--seg", "1e308,0.5,-1e308,0.5"], None,
      "(1e+308, 0.5) -> (-1e+308, 0.5)"),
+    # finite, but past the quadrature grid's cap (and 8 A n overflows)
+    (["spectrum", "--board", "BOARD", "--a", "1e308"], None, "radius 1e+308"),
 ])
 def test_bad_input_exits_one_naming_it(argv, env, named, capsys, monkeypatch, tmp_path):
     if env is not None:

@@ -2,10 +2,11 @@
 identity, energy accounting, and the certificate."""
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
@@ -28,8 +29,10 @@ from needleboard.spectral import (
     phi,
     slice_residual,
     tail_energy,
+    _disk_energy_grid,
     _f_hat_points,
 )
+from needleboard import spectral
 
 # Frozen from a one-time sweep of A * tail / total over the fixture suite
 # (constant/parity/stripes/random at n in {4, 8, 16, 32}, A in {4, ..., 64}):
@@ -224,6 +227,16 @@ def test_tail_energy_rejects_nonfinite_radius():
             tail_energy(c, a)
 
 
+def test_tail_energy_rejects_radius_past_the_grid_cap():
+    # 8 A n above 2^15 samples per axis would undersample the integrand,
+    # and at 1e308 it overflows to inf; the message names the largest
+    # radius the board allows, 2^15 / (8 n).
+    for c, a, largest in ((make_parity(4), 1e308, "1024.0"), (make_random(1, 1), 1e6, "4096.0")):
+        with pytest.raises(ValueError, match=rf"radius {re.escape(str(a))}.* at most {largest}"):
+            tail_energy(c, a)
+    assert tail_energy(make_random(1, 1), 4096.0).grid == 1 << 15
+
+
 def test_tail_energy_zero_board():
     z = Coloring(2, np.zeros((2, 2)))
     rep = tail_energy(z, 4.0)
@@ -304,3 +317,130 @@ def test_certificate_is_sound_on_real_boards(c):
     bound, a_used = certified_lower_bound(c)
     assert a_used == 1.0
     assert 0.0 < bound <= brute_force(c).best_chord[1]
+
+
+def _tensor_grid_energy(c, a_radius, grid, bounds=None):
+    # Reference oracle for _disk_energy_grid: the midpoint tensor-grid sum
+    # it replaced.  It forms phi at every sample of the lower-half rows and
+    # masks the open disk, with the disk predicate written the same way;
+    # ``bounds`` = (lo, hi) replaces the disk by the index interval
+    # [lo[k1], hi[k1]) of each row k1 < G/2.
+    h = 2.0 * a_radius / grid
+    xi = -a_radius + (np.arange(grid) + 0.5) * h
+    s2 = np.sinc(xi) ** 2
+    ee = np.exp(-2j * math.pi * np.outer(np.arange(c.n), xi))
+    m = c.cells @ ee
+    r2 = a_radius * a_radius
+    block = max(1, (1 << 20) // grid)
+    half = grid // 2
+    k2 = np.arange(grid)
+    total = 0.0
+    for lo in range(0, half, block):
+        hi = min(half, lo + block)
+        ph = ee[:, lo:hi].T @ m
+        w = (ph.real**2 + ph.imag**2) * s2[None, :] * s2[lo:hi, None]
+        if bounds is None:
+            inside = (xi[lo:hi, None] ** 2 + xi[None, :] ** 2) < r2
+        else:
+            inside = (k2 >= bounds[0][lo:hi, None]) & (k2 < bounds[1][lo:hi, None])
+        total += float(np.sum(w, where=inside))
+    return 2.0 * total * h * h
+
+
+@st.composite
+def quadrature_cases(draw):
+    n = draw(st.integers(1, 12))
+    cell = draw(st.sampled_from([
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+    ]))
+    values = np.array(draw(st.lists(cell, min_size=n * n, max_size=n * n)))
+    if not np.any(values**2 > 0.0):
+        values[0] = 1.0
+    a = draw(st.one_of(
+        st.sampled_from([0.5, 1.0, 2.0, 5.5, 16.0, 32.0]),
+        st.floats(0.3, 40.0),
+    ))
+    grid = draw(st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]))
+    return Coloring(n, values.reshape(n, n)), a, grid
+
+
+@settings(max_examples=60)
+@given(quadrature_cases())
+def test_lag_domain_quadrature_matches_the_tensor_grid(case):
+    c, a, grid = case
+    got = _disk_energy_grid(c, a, grid)
+    assert abs(got - _tensor_grid_energy(c, a, grid)) <= 1e-12 * sum_squares(c)
+
+
+def test_lag_domain_quadrature_sums_asymmetric_rows(monkeypatch):
+    # Rounded sample points need not mirror exactly, so a row's interval
+    # may hold one more sample on one side of the centre than the other;
+    # the sine sums carry that.  Force it: one extra sample above the
+    # centre on every odd row, one fewer below on every third row.
+    c, a, grid = make_random(7, seed=4), 3.3, 256
+    below, above = spectral._disk_rows(
+        -a + (np.arange(grid) + 0.5) * (2.0 * a / grid), a * a
+    )
+    rows = np.arange(grid // 2)
+    below = below - ((rows % 3 == 0) & (below > 0))
+    above = above + ((rows % 2 == 1) & (above < grid // 2))
+    monkeypatch.setattr(spectral, "_disk_rows", lambda xi, r2: (below, above))
+    got = _disk_energy_grid(c, a, grid)
+    want = _tensor_grid_energy(c, a, grid, (grid // 2 - below, grid // 2 + above))
+    assert abs(got - want) <= 1e-12 * sum_squares(c)
+    assert abs(got - _tensor_grid_energy(c, a, grid)) > 1e-6 * sum_squares(c)
+
+
+def test_disk_rows_follow_the_predicate_as_rounded():
+    # A radius placed exactly on a sum xi1^2 + xi2^2, or one ulp above it,
+    # makes the rounded threshold r2 - xi1^2 misplace a boundary now and
+    # then; the counts must follow the predicate itself.
+    rng = np.random.default_rng(1)
+    half = 4
+    misplaced = 0
+    for _ in range(300):
+        xi = np.concatenate([
+            np.sort(-rng.uniform(0.01, 1.0, half)),
+            np.sort(rng.uniform(0.01, 1.0, half)),
+        ])
+        sq = xi**2
+        r2 = sq[rng.integers(half)] + sq[half + rng.integers(half)]
+        if rng.random() < 0.5:
+            r2 = np.nextafter(r2, 2.0)
+        inside = sq[:half, None] + sq[None, :] < r2
+        below, above = spectral._disk_rows(xi, r2)
+        assert np.array_equal(below, inside[:, :half].sum(axis=1))
+        assert np.array_equal(above, inside[:, half:].sum(axis=1))
+        misplaced += np.any(np.searchsorted(sq[half:], r2 - sq[:half]) != above)
+    assert misplaced > 0
+
+
+def _criterion_7_fixtures(n):
+    yield make_constant(n, +1)
+    yield make_parity(n)
+    yield make_stripes(n, "horizontal")
+    for seed in range(5):
+        yield make_random(n, seed)
+
+
+@pytest.mark.parametrize("boards, a, grid", [
+    # the benchmark's spectrum workload: A = 16 on n = 32 and n = 64
+    ([make_random(32, 1)], 16.0, 4096),
+    ([make_random(64, 1)], 16.0, 8192),
+    # the CLI default radius
+    ([make_random(16, 0), make_parity(16)], 8.0, 1024),
+    # criterion 7: n in (4, 8, 16), A in (4, 8, 16)
+    *[(list(_criterion_7_fixtures(n)), a, grid) for n, a, grid in (
+        (4, 4.0, 128), (4, 8.0, 256), (4, 16.0, 512),
+        (8, 4.0, 256), (8, 8.0, 512), (8, 16.0, 1024),
+        (16, 4.0, 512), (16, 8.0, 1024), (16, 16.0, 2048),
+    )],
+    # the one-cell board far out
+    ([make_constant(1, +1)], 200.0, 2048),
+])
+def test_tail_energy_grid_sizes_are_pinned(boards, a, grid):
+    for c in boards:
+        rep = tail_energy(c, a)
+        assert rep.grid == grid
+        assert abs(rep.disk_energy + rep.tail - rep.total) <= 1e-15 * rep.total
