@@ -7,8 +7,9 @@ or input errors, 2 computation-contract failures (a certificate exceeding
 the found maximum would be a bug, not a usage problem).
 
 Reports are reproducible byte for byte for a fixed command line: seeds are
-explicit, reductions are index-ordered, and thread counts never change
-results (see the search module's concurrency contract).
+explicit and reductions are index-ordered.  The direction scan runs on one
+thread; --threads and NEEDLEBOARD_THREADS are still parsed and checked, so
+existing command lines keep their exit codes, but they change nothing.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .verify import (
 )
 
 _SCHEMA = "needleboard/1"
-_THREAD_CAP = 256  # fixed upper bound on worker threads, whatever the machine
+_THREAD_CAP = 256  # largest --threads / NEEDLEBOARD_THREADS value accepted
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,8 +117,8 @@ def _read_board(path: str) -> Coloring:
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
-    # threads is a resource limit, not configuration: results never depend
-    # on it, and reports must be byte-identical across thread counts
+    # threads is accepted but unused, so it is not configuration: reports
+    # must be byte-identical across its values
     out = {}
     for key, value in vars(args).items():
         if key in ("func", "threads"):
@@ -268,7 +269,7 @@ def _cmd_search(args) -> int:
     if args.oracle:
         rep = brute_force(c)
     else:
-        rep = scan_report(c, angles=args.angles, threads=args.threads)
+        rep = scan_report(c, angles=args.angles)
     _emit_json(args, _report_dict(rep))
     if args.svg:
         with open(args.svg, "w", encoding="ascii", newline="") as fh:
@@ -280,7 +281,7 @@ def _cmd_certify(args) -> int:
     c = _read_board(args.board)
     bound, radius = certified_lower_bound(c)
     angles = lower_scan_angles(c.n)
-    ch, vc = best_chord(c, angles=angles, threads=args.threads)
+    ch, vc = best_chord(c, angles=angles)
     _emit_json(args, {
         "certificate": bound,
         "radius": radius,
@@ -344,7 +345,7 @@ def _cmd_tail(args) -> int:
 
 
 def _cmd_verify_lower(args) -> int:
-    rows = lower_bound_scan(args.fixtures.split(","), args.ns, threads=args.threads)
+    rows = lower_bound_scan(args.fixtures.split(","), args.ns)
     if args.format == "csv":
         _emit_csv(
             args,
@@ -358,10 +359,7 @@ def _cmd_verify_lower(args) -> int:
 
 
 def _cmd_verify_upper(args) -> int:
-    rep = upper_bound_scan(
-        args.ns, trials=args.trials, seed=args.seed, angles=args.angles,
-        threads=args.threads,
-    )
+    rep = upper_bound_scan(args.ns, trials=args.trials, seed=args.seed, angles=args.angles)
     if args.format == "csv":
         rows = []
         for n, used, row in zip(rep.n_values, rep.angles, rep.values):
@@ -398,8 +396,9 @@ def _build_parser() -> _Parser:
             "--threads",
             type=_thread_count,
             default=None,
-            help=f"direction-scan worker threads, 1 to {_THREAD_CAP}, default "
-                 "$NEEDLEBOARD_THREADS or 1 (results are thread-count independent)",
+            help=f"accepted for compatibility, 1 to {_THREAD_CAP}, default "
+                 "$NEEDLEBOARD_THREADS or 1; the scan runs on one thread whatever "
+                 "the value",
         )
         if board:
             p.add_argument("--board", required=True, help="board text file")

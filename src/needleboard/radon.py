@@ -13,17 +13,18 @@ end.  OffsetScan holds the one tie rule (smaller offset, then the first
 crossing along uperp; values within tie_tolerance of a maximum tie with it)
 and the one witness construction.
 
-- lattice_scan serves the direction search: every breakpoint chord of a
-  primitive lattice direction from shifted sums over the zero-padded board,
-  with no float sort, clip or deduplication.
+- lattice_scan serves every lattice direction: the direction search, and
+  the two axis directions (theta = 0, pi/2) of offset_scan.  It evaluates
+  every breakpoint chord of a primitive lattice direction from shifted sums
+  over the zero-padded board, with no float sort, clip or deduplication.
+  Axis chords run along columns or rows and may lie on gridlines; the piece
+  offset d = (0, 0) or (-1, 0) gives them half-open ownership: the gridline
+  t = k belongs to line k and t = n to none, so the profile steps at
+  integer offsets instead of staying continuous.
 - offset_scan serves arbitrary angles (project, max_chord_in_direction,
-  max_segment_in_direction).  Off-axis it sorts the gridline crossings of a
-  block of chords at a time; at the two axis directions (theta = 0, pi/2)
-  chords run along columns or rows and may lie on gridlines, so it uses
-  column and row prefix sums with half-open ownership: the gridline t = k
-  belongs to line k and t = n to none, and the profile steps at integer
-  offsets instead of staying continuous.  lattice_scan gets the same
-  ownership from the piece offset d = (0, 0) or (-1, 0).
+  max_segment_in_direction) at the direction's breakpoint offsets.
+  Off-axis it sorts the gridline crossings of a block of chords at a time;
+  on the axes it returns lattice_scan.
 
 _walk_direction is the scalar oracle: it walks cell_crossings chord by chord
 and is used only by search.brute_force and the tests.
@@ -165,8 +166,8 @@ class OffsetScan(NamedTuple):
     along uperp from t*u.  `top` and `bottom` are the largest and smallest
     prefix integrals along the chord (the empty prefix, 0, included) and
     `s_top` / `s_bottom` the positions where the first prefix within `tie`
-    of them ends (lattice_scan fills them only on the offset best_segment
-    picks).
+    of them ends.  lattice_scan, and so offset_scan on the axes, fills the
+    positions only on the line best_segment picks; they are NaN elsewhere.
     """
 
     direction: Direction
@@ -199,40 +200,31 @@ class OffsetScan(NamedTuple):
         return Segment(a, b), float(r[i])
 
 
-def offset_scan(c: Coloring, direction: Direction, ts) -> OffsetScan:
-    """Evaluate the chords of one direction at offsets `ts`, _BLOCK at a time.
+def offset_scan(c: Coloring, direction: Direction) -> OffsetScan:
+    """Evaluate the chords of one direction at its breakpoint offsets.
 
     Off-axis, each chord's gridline crossings are computed, clipped to the
-    board and sorted as one event row, so a block of offsets is a handful of
-    array operations.  Axis chords run along a column or a row and use its
-    prefix sums directly (see _axis_scan).
+    board and sorted as one event row, _BLOCK offsets at a time, so a block
+    is a handful of array operations.  Axis chords are lattice lines:
+    theta = 0 is lattice_scan(c, 0, 1) and theta = pi/2 is
+    lattice_scan(c, 1, 0).
     """
-    ts = np.asarray(ts, dtype=np.float64)
+    if direction.theta == 0.0:
+        return lattice_scan(c, 0, 1)
+    if direction.theta == _HALF_PI:
+        return lattice_scan(c, 1, 0)
+    ts = breakpoint_offsets(c.n, direction)
     tie = tie_tolerance(c)
     out = np.empty((5, ts.size))
-    if direction.is_axis():
-        _axis_scan(c, direction, ts, tie, out)
-    else:
-        for lo in range(0, ts.size, _BLOCK):
-            _oblique_block(c, direction, ts[lo:lo + _BLOCK], tie, out[:, lo:lo + _BLOCK])
+    for lo in range(0, ts.size, _BLOCK):
+        _oblique_block(c, direction, ts[lo:lo + _BLOCK], tie, out[:, lo:lo + _BLOCK])
     return OffsetScan(direction, tie, ts, *out)
-
-
-def _fill(prefix: np.ndarray, pos: np.ndarray, tie: float, out: np.ndarray) -> None:
-    # Per row: chord value, top/bottom prefix and the positions where the
-    # first prefix within tie of them ends.
-    rows = np.arange(prefix.shape[0])
-    top = prefix.max(axis=1)
-    bottom = prefix.min(axis=1)
-    out[0] = prefix[:, -1]
-    out[1] = top
-    out[2] = bottom
-    out[3] = pos[rows, np.argmax(prefix >= (top - tie)[:, None], axis=1)]
-    out[4] = pos[rows, np.argmax(prefix <= (bottom + tie)[:, None], axis=1)]
 
 
 def _oblique_block(c: Coloring, direction: Direction, ts: np.ndarray, tie: float,
                    out: np.ndarray) -> None:
+    # Rows of out, per offset: chord value, top/bottom prefix and the
+    # positions where the first prefix within tie of them ends.
     n = c.n
     ux, uy = direction.u  # uy > 0 and ux != 0 off-axis
     tx = ts[:, None] * ux
@@ -266,32 +258,20 @@ def _oblique_block(c: Coloring, direction: Direction, ts: np.ndarray, tie: float
     piece *= ev[:, 1:] - ev[:, :-1]
     prefix = np.zeros_like(ev)  # prefix[:, p] = integral from s_lo to ev[:, p]
     np.cumsum(piece, axis=1, out=prefix[:, 1:])
-    _fill(prefix, ev, tie, out)
-
-
-def _axis_scan(c: Coloring, direction: Direction, ts: np.ndarray, tie: float,
-               out: np.ndarray) -> None:
-    # theta = 0: the chord x = t crosses column floor(t) upward from y = 0.
-    # theta = pi/2: the chord y = t crosses row floor(t) from x = n down to
-    # x = 0 (s runs from -n to 0).  Half-open ownership: the gridline t = k
-    # belongs to line k, and t = n (or any offset off the board) to none.
-    n = c.n
-    if direction.theta == 0.0:
-        lines, s0 = c.cells, 0.0
-    else:
-        lines, s0 = c.cells[::-1].T, -float(n)
-    prefix = np.zeros((n + 1, n + 1))  # row n: the empty chord
-    np.cumsum(lines, axis=1, out=prefix[:n, 1:])
-    k = np.floor(ts)
-    line = np.where((k >= 0) & (k < n), k, n).astype(np.intp)
-    pos = s0 + np.arange(n + 1, dtype=np.float64)
-    _fill(prefix[line], np.broadcast_to(pos, (ts.size, n + 1)), tie, out)
+    rows = np.arange(ts.size)
+    top = prefix.max(axis=1)
+    bottom = prefix.min(axis=1)
+    out[0] = prefix[:, -1]
+    out[1] = top
+    out[2] = bottom
+    out[3] = ev[rows, np.argmax(prefix >= (top - tie)[:, None], axis=1)]
+    out[4] = ev[rows, np.argmax(prefix <= (bottom + tie)[:, None], axis=1)]
 
 
 def project(c: Coloring, direction: Direction) -> Projection:
     """Exact piecewise-linear offset profile t -> integral over the chord at t."""
-    ts = breakpoint_offsets(c.n, direction)
-    return Projection(direction, ts, offset_scan(c, direction, ts).chord)
+    scan = offset_scan(c, direction)
+    return Projection(direction, scan.offsets, scan.chord)
 
 
 def max_chord_in_direction(c: Coloring, direction: Direction) -> tuple[float, float]:
@@ -301,7 +281,7 @@ def max_chord_in_direction(c: Coloring, direction: Direction) -> tuple[float, fl
     gridline values are the owned line sums), so |profile| attains its
     maximum at a breakpoint; ties break toward smaller t.
     """
-    return offset_scan(c, direction, breakpoint_offsets(c.n, direction)).best_chord()
+    return offset_scan(c, direction).best_chord()
 
 
 def max_segment_in_direction(c: Coloring, direction: Direction) -> tuple[Segment, float]:
@@ -311,7 +291,7 @@ def max_segment_in_direction(c: Coloring, direction: Direction) -> tuple[Segment
     prefix range (max minus min) is convex there, so breakpoint offsets are
     exact.  Ties break toward smaller offset, then smaller crossing index.
     """
-    return offset_scan(c, direction, breakpoint_offsets(c.n, direction)).best_segment()
+    return offset_scan(c, direction).best_segment()
 
 
 def lattice_scan(c: Coloring, dx: int, dy: int) -> OffsetScan:

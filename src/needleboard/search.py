@@ -15,7 +15,6 @@ them through radon's scalar cell walk only.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .board import Coloring
@@ -60,18 +59,15 @@ def _scan_direction(c: Coloring, v: tuple[int, int]):
     return scan.best_chord(), scan.best_segment()
 
 
-def _scan(c: Coloring, angles: int | None, threads: int):
-    # One pass over the budgeted lattice directions: the directions and their
-    # _scan_direction results.
+def _scan(c: Coloring, angles: int | None):
+    # One serial pass over the budgeted lattice directions: the directions
+    # and their _scan_direction results.
     if angles is None:
         angles = default_angles(c.n)
     if angles < 1:
         raise ValueError(f"angle count must be at least 1, got {angles}")
     dirs = _lattice_directions(c.n, angles)
-    if threads <= 1:
-        return dirs, [_scan_direction(c, v) for v in dirs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return dirs, list(pool.map(lambda v: _scan_direction(c, v), dirs))
+    return dirs, [_scan_direction(c, v) for v in dirs]
 
 
 def _chord_winner(dirs: list[tuple[int, int]], results, tie: float) -> tuple[Chord, float]:
@@ -85,8 +81,7 @@ def _segment_winner(results, tie: float) -> tuple[Segment, float]:
     return results[_first_max([r[1][1] for r in results], tie)][1]
 
 
-def best_chord(c: Coloring, angles: int | None = None,
-               threads: int = 1) -> tuple[Chord, float]:
+def best_chord(c: Coloring, angles: int | None = None) -> tuple[Chord, float]:
     """Maximize |integral over a full chord| over primitive lattice directions.
 
     Scans the first `angles` primitive directions (shortest lattice vector
@@ -94,14 +89,13 @@ def best_chord(c: Coloring, angles: int | None = None,
     and reports the winning offset of the winning direction.  Deterministic
     for fixed inputs.
     """
-    dirs, results = _scan(c, angles, threads)
+    dirs, results = _scan(c, angles)
     return _chord_winner(dirs, results, tie_tolerance(c))
 
 
-def best_segment(c: Coloring, angles: int | None = None,
-                 threads: int = 1) -> tuple[Segment, float]:
+def best_segment(c: Coloring, angles: int | None = None) -> tuple[Segment, float]:
     """Maximize |integral over any sub-segment|; same strategy as best_chord."""
-    _, results = _scan(c, angles, threads)
+    _, results = _scan(c, angles)
     return _segment_winner(results, tie_tolerance(c))
 
 
@@ -115,10 +109,9 @@ def _report(c: Coloring, dirs: list[tuple[int, int]], results,
                              seg[1] / math.sqrt(n), r2)
 
 
-def scan_report(c: Coloring, angles: int | None = None,
-                threads: int = 1) -> DiscrepancyReport:
+def scan_report(c: Coloring, angles: int | None = None) -> DiscrepancyReport:
     """DiscrepancyReport from one lattice-direction scan (chords and segments)."""
-    dirs, results = _scan(c, angles, threads)
+    dirs, results = _scan(c, angles)
     used = angles if angles is not None else default_angles(c.n)
     return _report(c, dirs, results, SearchStrategy(used, False))
 

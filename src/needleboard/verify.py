@@ -105,7 +105,7 @@ class ScalingReport:
 
 
 def upper_bound_scan(n_list, trials: int = 10, seed: int = 0,
-                     angles: int | None = None, threads: int = 1) -> ScalingReport:
+                     angles: int | None = None) -> ScalingReport:
     """Measure best-segment growth over random colorings.
 
     Coloring seeds are seed+1 ... seed+trials, reused across n (the boards
@@ -127,7 +127,7 @@ def upper_bound_scan(n_list, trials: int = 10, seed: int = 0,
         row = []
         for t in range(1, trials + 1):
             c = make_random(n, seed + t)
-            _, v = best_segment(c, angles=a, threads=threads)
+            _, v = best_segment(c, angles=a)
             row.append(v)
         values.append(tuple(row))
     constants = tuple(
@@ -180,7 +180,7 @@ def lower_scan_angles(n: int) -> int:
     return min(default_angles(n), _LOWER_ANGLE_CAP)
 
 
-def lower_bound_scan(fixtures, n_list, threads: int = 1) -> tuple[LowerBoundRow, ...]:
+def lower_bound_scan(fixtures, n_list) -> tuple[LowerBoundRow, ...]:
     """Chord maxima against certificates on the named fixtures.
 
     Raises RuntimeError if any certificate exceeds the chord maximum found,
@@ -194,7 +194,7 @@ def lower_bound_scan(fixtures, n_list, threads: int = 1) -> tuple[LowerBoundRow,
     for descriptor, make in makers:
         for n in ns:
             c = make(n)
-            _, v = best_chord(c, angles=lower_scan_angles(c.n), threads=threads)
+            _, v = best_chord(c, angles=lower_scan_angles(c.n))
             bound, radius = certified_lower_bound(c)
             if v < bound:
                 raise RuntimeError(

@@ -1,22 +1,26 @@
 """Properties of radon's two kernels against the scalar cell walk.
 
-Boards are +-1 or real with n from 1 to 12.  offset_scan is checked at
-generic angles, primitive lattice directions and both axes; generic angles
-stay 1e-3 away from the axes: near an axis the profile's slope grows like
-1/sin, so both paths agree only to the conditioning of the offset itself.
-lattice_scan is checked at every primitive lattice direction, axes included,
-values and witnesses both.
+Hypothesis boards are +-1 or real with n from 1 to 12.  offset_scan is
+checked at generic angles, primitive lattice directions and both axes;
+generic angles stay 1e-3 away from the axes: near an axis the profile's
+slope grows like 1/sin, so both paths agree only to the conditioning of the
+offset itself.  Those boards have at most 169 breakpoints, one block of
+offset_scan, so fixed boards at n = 24 and 32 (625 and 1,089 breakpoints)
+check it across blocks.  lattice_scan is checked at every primitive lattice
+direction, axes included, values and witnesses both.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from needleboard.board import Coloring
+from needleboard.board import Coloring, make_random
 from needleboard.geom import integrate
 from needleboard.radon import (
+    _BLOCK,
     Chord,
     Direction,
     _walk_direction,
@@ -94,22 +98,40 @@ def test_witnesses_integrate_to_the_reported_values(case):
     assert abs(abs(integrate(c, seg)) - vs) <= 1e-9 * c.n
 
 
-@settings(max_examples=30)
-@given(cases())
-def test_any_offset_in_any_block(case):
-    # offsets off the breakpoints and off the board, over several blocks:
-    # chord values match the walk, and each offset's row does not depend on
-    # the block it lands in
-    c, d = case
-    ts = np.linspace(-0.5, 1.5 * c.n, 1201)
-    whole = offset_scan(c, d, ts)
-    for k in range(0, ts.size, 150):
-        assert abs(whole.chord[k] - integrate(c, chord_segment(c.n, Chord(d, float(ts[k]))))) \
-            <= 1e-9 * c.n
-    for lo in range(0, ts.size, 7):
-        part = offset_scan(c, d, ts[lo:lo + 7])
-        for a, b in zip(whole[2:], part[2:]):
-            assert np.array_equal(a[lo:lo + 7], b)
+_MULTI_BLOCK_ANGLES = (0.3, 1.1, 2.0, 2.9)  # generic: every breakpoint distinct
+
+
+def _multi_block_board(n: int, real: bool) -> Coloring:
+    if not real:
+        return make_random(n, seed=n)
+    return Coloring(n, np.random.default_rng(n).uniform(-4.0, 4.0, (n, n)))
+
+
+@pytest.mark.parametrize("theta", _MULTI_BLOCK_ANGLES)
+@pytest.mark.parametrize("n, real", [(24, False), (24, True), (32, False), (32, True)])
+def test_project_across_blocks_equals_chord_integrals(n, real, theta):
+    c, d = _multi_block_board(n, real), Direction(theta)
+    p = project(c, d)
+    assert p.breakpoints.size == (n + 1) ** 2 > _BLOCK
+    for k in range(0, p.breakpoints.size, 37):
+        t = float(p.breakpoints[k])
+        assert abs(p.values[k] - integrate(c, chord_segment(n, Chord(d, t)))) <= 1e-9 * n
+
+
+@pytest.mark.parametrize("theta", _MULTI_BLOCK_ANGLES)
+@pytest.mark.parametrize("n, real", [(24, False), (24, True), (32, False), (32, True)])
+def test_direction_maxima_across_blocks_equal_the_scalar_oracle(n, real, theta):
+    # values against the walk, and witnesses integrating to them; at these
+    # angles winners fall in every block (offset index 550, 648 and 994)
+    c, d = _multi_block_board(n, real), Direction(theta)
+    tol = 1e-9 * c.n
+    (_, vc_walk), (_, vs_walk) = _walk_direction(c, d)
+    t, vc = max_chord_in_direction(c, d)
+    seg, vs = max_segment_in_direction(c, d)
+    assert abs(vc - vc_walk) <= tol
+    assert abs(vs - vs_walk) <= tol
+    assert abs(abs(integrate(c, chord_segment(c.n, Chord(d, t)))) - vc) <= tol
+    assert abs(abs(integrate(c, seg)) - vs) <= tol
 
 
 @st.composite
@@ -149,6 +171,6 @@ def test_lattice_chords_equal_offset_scan_at_every_breakpoint(case):
     c, v = case
     d = Direction.along(*v)
     scan = lattice_scan(c, *v)
-    ref = offset_scan(c, d, breakpoint_offsets(c.n, d))
+    ref = offset_scan(c, d)
     for a, b in zip(scan[3:6], ref[3:6]):
         assert np.max(np.abs(a - b)) <= 1e-9 * c.n

@@ -64,7 +64,7 @@ def test_tie_heavy_boards_pick_the_same_witnesses_on_both_routes():
         tol = 1e-12 * n
         for c in (make_constant(n, +1), make_parity(n), make_stripes(n, "horizontal"),
                   make_stripes(n, "vertical")):
-            dirs, results = _scan(c, None, 1)
+            dirs, results = _scan(c, None)
             rep = scan_report(c)
             for v, ((t, vc), (seg, vs)) in zip(dirs, results):
                 d = Direction.along(*v)
@@ -267,15 +267,3 @@ def test_rejects_bad_parameters():
         best_chord(c, angles=0)
     with pytest.raises(ValueError):
         brute_force(make_random(17, seed=0))
-
-
-def test_threaded_scan_is_identical():
-    c = make_random(6, seed=13)
-    seg1, v1 = best_segment(c, angles=64, threads=1)
-    seg4, v4 = best_segment(c, angles=64, threads=4)
-    assert v1 == v4
-    assert seg1 == seg4
-    ch1, w1 = best_chord(c, angles=64, threads=1)
-    ch4, w4 = best_chord(c, angles=64, threads=4)
-    assert w1 == w4
-    assert ch1 == ch4
