@@ -13,14 +13,22 @@ end.  OffsetScan holds the one tie rule (smaller offset, then the first
 crossing along uperp; values within tie_tolerance of a maximum tie with it)
 and the one witness construction.
 
-- lattice_scan serves every lattice direction: the direction search, and
-  the two axis directions (theta = 0, pi/2) of offset_scan.  It evaluates
-  every breakpoint chord of a primitive lattice direction from shifted sums
-  over the zero-padded board, with no float sort, clip or deduplication.
-  Axis chords run along columns or rows and may lie on gridlines; the piece
-  offset d = (0, 0) or (-1, 0) gives them half-open ownership: the gridline
-  t = k belongs to line k and t = n to none, so the profile steps at
-  integer offsets instead of staying continuous.
+- One kernel core, _lattice_core, serves every lattice direction: it
+  evaluates every breakpoint chord of a primitive lattice direction from
+  shifted sums over the zero-padded board, with no float sort, clip or
+  deduplication, for a stack of boards at once.  Axis chords run along
+  columns or rows and may lie on gridlines; the piece offset d = (0, 0) or
+  (-1, 0) gives them half-open ownership: the gridline t = k belongs to
+  line k and t = n to none, so the profile steps at integer offsets instead
+  of staying continuous.
+- orbit_scan runs the core once per dihedral orbit {(+-a, b), (+-b, a)} of
+  the direction search: each member's board is moved by the signed
+  permutation that carries the member onto one common vector, which keeps
+  every piece and its order, so its chord and prefix arrays equal
+  lattice_scan's bit for bit.  It builds no witnesses.
+- lattice_scan is the core's call for one board and one direction, plus the
+  witness of the best segment.  It serves the search's two winners and the
+  two axis directions (theta = 0, pi/2) of offset_scan.
 - offset_scan serves arbitrary angles (project, max_chord_in_direction,
   max_segment_in_direction) at the direction's breakpoint offsets.
   Off-axis it sorts the gridline crossings of a block of chords at a time;
@@ -33,6 +41,7 @@ and is used only by search.brute_force and the tests.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,6 +56,9 @@ _AXIS_SNAP = 1e-12  # angles this close to 0 or pi/2 are treated as exact
 _DEDUP = 1e-12  # breakpoint collision tolerance (absolute)
 _BLOCK = 512  # offsets per kernel block; keeps the event arrays cache-sized
 _TIE = 1e-12  # ties: see tie_tolerance
+# box points per _lattice_core pass over a stack of boards: its loop touches
+# about five arrays of this many floats (1.3 MB), which stay in a 2 MB L2
+_STACK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -157,6 +169,12 @@ def _first_max(values, tie: float) -> int:
     # index of the first value within tie of the maximum
     v = np.asarray(values)
     return int(np.argmax(v >= v.max() - tie))
+
+
+def _first_maxima(values: np.ndarray, tie: float) -> np.ndarray:
+    # _first_max of each row, as the values it picks
+    i = np.argmax(values >= values.max(axis=1, keepdims=True) - tie, axis=1)
+    return values[np.arange(len(values)), i]
 
 
 class OffsetScan(NamedTuple):
@@ -299,15 +317,8 @@ def lattice_scan(c: Coloring, dx: int, dy: int) -> OffsetScan:
 
     The chords run along v = +-(dx, dy), signed to point along uperp, and the
     breakpoint chords are the lattice lines m = x*dy - y*dx through a point
-    of {0..n}^2, at offsets t = m / |v|.  A step v from a lattice point p
-    crosses the cells p + d_q over lengths l_q, q < P = |dx| + |dy| - 1, in
-    an order fixed by an exact integer merge.  So the prefix after piece q
-    of the period at p is S(p) + acc_q(p): acc_q(p) is a partial period sum,
-    built for every p at once from P shifted slices of the zero-padded
-    board, and S(p) sums the whole periods before p on its line.  Periods
-    off the board add exact zeros, so they change no value and no first
-    crossing.  Every temporary has one entry per lattice point (or per line
-    and step), whatever P is: no pieces x points array is formed.
+    of {0..n}^2, at offsets t = m / |v|.  The values come from _lattice_core
+    on the board alone; see there.
 
     Positions come only on the line best_segment picks; s_top and s_bottom
     are NaN on the others.
@@ -316,9 +327,112 @@ def lattice_scan(c: Coloring, dx: int, dy: int) -> OffsetScan:
         raise ValueError(f"lattice direction must be primitive, got ({dx}, {dy})")
     dx, dy = _along_uperp(dx, dy)
     n = c.n
-    a, b = abs(dx), abs(dy)
+    k = _lattice_core(c.cells[None], dx, dy)
     l2 = dx * dx + dy * dy
     ln = math.sqrt(l2)
+    m, wx, wy = k.m, k.wx, k.wy
+    pad, run, up, down = k.pad[0], k.run[0], k.up[0], k.down[0]
+    top, bottom = k.top[0], k.bottom[0]
+
+    # the witness of the line best_segment picks (the others keep NaN), in
+    # steps along it: the board entry when the empty prefix ties, else the
+    # end of the first piece that does (the bottom searched as -prefix)
+    tie = tie_tolerance(c)
+    i = _first_max(top - bottom, tie)
+    mi = int(m[i])
+    pos = np.full((2, m.size), np.nan)
+    sides = ((up[:, i], top[i] - tie), (-down[:, i], -bottom[i] - tie))
+    for side, (vals, thr) in enumerate(sides):
+        if thr <= 0.0:
+            k_end = max(((0 if vi > 0 else n) - mi * wi) / vi
+                        for wi, vi in ((wx, dx), (wy, dy)) if vi)
+        else:
+            at = int(np.argmax(vals >= thr))
+            ki = int(k.first[i]) + at
+            bx = mi * wx + ki * dx - k.x0 + k.sx
+            by = mi * wy + ki * dy - k.y0 + k.sy
+            sign = 1 - 2 * side
+            prefix = sign * np.cumsum(pad[bx, by] * k.ell) + sign * run[at, i]
+            k_end = ki + int(k.keys[int(np.argmax(prefix >= thr)) + 1]) / k.den
+        pos[side, i] = (mi * (wx * dx + wy * dy) + k_end * l2) / ln
+    return OffsetScan(Direction.along(dx, dy), tie, m / ln, k.chord[0], top, bottom, *pos)
+
+
+def orbit_scan(c: Coloring, vecs) -> np.ndarray:
+    """Chord, top and bottom per line of the lattice directions `vecs` at once.
+
+    The directions form (part of) one dihedral orbit {(+-a, b), (+-b, a)}.
+    Each v (signed to point along uperp) is carried onto the first one's
+    signed vector V by the signed permutation g with g v = V, and the board
+    by the same g, so each v keeps its pieces and their order: one
+    _lattice_core pass over the stack of moved boards serves them all (or a
+    few passes, past about n = 90, to keep each stack within _STACK box
+    points).  The lines come back by m -> det(g)*m + const, reversed where
+    det(g) = -1.
+
+    Returns a (3, len(vecs), lines) array: row [:, k] equals the chord, top
+    and bottom of lattice_scan(c, *vecs[k]) bit for bit.  No witnesses.
+    """
+    V = _along_uperp(*vecs[0])
+    if math.gcd(*V) != 1:
+        raise ValueError(f"lattice direction must be primitive, got {tuple(vecs[0])}")
+    boards, flip = [], []
+    for v in vecs:
+        if sorted(map(abs, v)) != sorted(map(abs, V)):
+            raise ValueError(f"{tuple(v)} is not in the dihedral orbit of {tuple(vecs[0])}")
+        board, det = _onto(c.cells, _along_uperp(*v), V)
+        boards.append(board)
+        flip.append(det < 0)
+    per = max(1, _STACK // ((c.n + abs(V[0])) * (c.n + abs(V[1]))))
+    parts = [_lattice_core(np.stack(boards[lo:lo + per]), *V)
+             for lo in range(0, len(boards), per)]
+    out = np.concatenate([np.stack([k.chord, k.top, k.bottom]) for k in parts], axis=1)
+    out[:, flip] = out[:, flip, ::-1]
+    return out
+
+
+def _onto(cells: np.ndarray, v: tuple[int, int], V: tuple[int, int]):
+    # The board moved by the signed permutation g with g v = V, and det(g).
+    # g swaps the coordinates where |v| and |V| need it, then flips the sign
+    # of each coordinate whose entries differ in sign; a zero entry keeps
+    # its sign, which keeps the axes' half-open ownership (the line x = k
+    # owns column k, y = k owns row k).  The board maps cell by cell:
+    # cells.T swaps, [::-1] flips x -> n - x.
+    det = 1
+    if abs(v[0]) != abs(V[0]):
+        v, cells, det = v[::-1], cells.T, -1
+    if v[0] * V[0] < 0:
+        cells, det = cells[::-1], -det
+    if v[1] * V[1] < 0:
+        cells, det = cells[:, ::-1], -det
+    return cells, det
+
+
+# _lattice_core's output for K boards along one signed direction v.  Piece
+# q of a step runs from keys[q] / den to keys[q + 1] / den of it, over length
+# ell[q]; box point (i, j), the lattice point (x0 + i, y0 + j), reads piece q
+# at pad[:, i + sx[q], j + sy[q]].  Line l is p = m[l]*(wx, wy) + k*v, with
+# steps k from first[l].  Per board (axis 0), step and line: run, up, down;
+# per board and line: chord, top, bottom.
+_Lines = namedtuple("_Lines", "keys den ell sx sy x0 y0 wx wy m first pad run up down "
+                              "chord top bottom")
+
+
+def _lattice_core(boards: np.ndarray, dx: int, dy: int) -> _Lines:
+    # The kernel: every lattice line of the signed primitive v = (dx, dy),
+    # on each of the K boards of the (K, n, n) stack at once.  A step v from
+    # a lattice point p crosses the cells p + d_q over lengths l_q, q < P =
+    # |dx| + |dy| - 1, in an order fixed by an exact integer merge.  So the
+    # prefix after piece q of the period at p is S(p) + acc_q(p): acc_q(p)
+    # is a partial period sum, built for every p at once from P shifted
+    # slices of the zero-padded boards, and S(p) sums the whole periods
+    # before p on its line.  Periods off the board add exact zeros, so they
+    # change no value and no first crossing.  Every temporary has one entry
+    # per board and lattice point (or per board, line and step), whatever P
+    # is: no pieces x points array is formed.
+    K, n = boards.shape[0], boards.shape[1]
+    a, b = abs(dx), abs(dy)
+    ln = math.sqrt(dx * dx + dy * dy)
     # piece q of a step runs from keys[q] / den to keys[q + 1] / den of it
     # (the merge of i / a and j / b); its midpoint names its cell p + d_q
     den = max(a, 1) * max(b, 1)
@@ -328,18 +442,19 @@ def lattice_scan(c: Coloring, dx: int, dy: int) -> OffsetScan:
     ell = (keys[1:] - keys[:-1]) * (ln / den)
 
     # the box of lattice points whose period meets the board: point (i, j)
-    # is p = (x0 + i, y0 + j), and its piece q is pad[i + sx[q], j + sy[q]]
+    # is p = (x0 + i, y0 + j), and its piece q is pad[:, i + sx[q], j + sy[q]]
     sx, sy = ox - ox.min(), oy - oy.min()
     ex, ey = int(sx.max()), int(sy.max())
     nx, ny = n + ex, n + ey
     x0, y0 = -int(ox.max()), -int(oy.max())
-    pad = np.zeros((n + 2 * ex, n + 2 * ey))
-    pad[ex:ex + n, ey:ey + n] = c.cells
-    sums = np.zeros((3, nx * ny + 1))  # the extra zero stands for "no point"
-    acc, hi, lo = (f[:-1].reshape(nx, ny) for f in sums)  # hi, lo: 0 included
-    tmp = np.empty((nx, ny))
+    pad = np.zeros((K, n + 2 * ex, n + 2 * ey))
+    pad[:, ex:ex + n, ey:ey + n] = boards
+    size = K * nx * ny
+    sums = np.zeros((3, size + 1))  # the extra zero stands for "no point"
+    acc, hi, lo = (f[:-1].reshape(K, nx, ny) for f in sums)  # hi, lo: 0 included
+    tmp = np.empty((K, nx, ny))
     for i, j, w in zip(sx.tolist(), sy.tolist(), ell.tolist()):
-        np.multiply(pad[i:i + nx, j:j + ny], w, out=tmp)
+        np.multiply(pad[:, i:i + nx, j:j + ny], w, out=tmp)
         acc += tmp
         np.maximum(hi, acc, out=hi)
         np.minimum(lo, acc, out=lo)
@@ -357,37 +472,16 @@ def lattice_scan(c: Coloring, dx: int, dy: int) -> OffsetScan:
     count = np.maximum(last - first + 1, 0)
     j = np.arange(max(int(count.max()), 1))[:, None]
     box = (m * wx - x0) * ny + (m * wy - y0) + (first + j) * (dx * ny + dy)
-    box[j >= count] = nx * ny
+    box = box + np.arange(0, size, nx * ny)[:, None, None]  # (board, step, line)
+    box[:, j >= count] = size
     whole, up, down = np.take(sums, box, axis=1)
     run = np.zeros_like(whole)  # S: the whole periods before each point
-    for step in range(1, run.shape[0]):
-        np.add(run[step - 1], whole[step - 1], out=run[step])
-    chord = run[-1] + whole[-1]
+    np.cumsum(whole[:, :-1], axis=1, out=run[:, 1:])
+    chord = run[:, -1] + whole[:, -1]
     up += run
     down += run
-    top, bottom = up.max(axis=0), down.min(axis=0)
-
-    # the witness of the line best_segment picks (the others keep NaN), in
-    # steps along it: the board entry when the empty prefix ties, else the
-    # end of the first piece that does (the bottom searched as -prefix)
-    tie = tie_tolerance(c)
-    i = _first_max(top - bottom, tie)
-    mi = int(m[i])
-    pos = np.full((2, m.size), np.nan)
-    sides = ((up[:, i], top[i] - tie), (-down[:, i], -bottom[i] - tie))
-    for side, (vals, thr) in enumerate(sides):
-        if thr <= 0.0:
-            k_end = max(((0 if vi > 0 else n) - mi * wi) / vi
-                        for wi, vi in ((wx, dx), (wy, dy)) if vi)
-        else:
-            at = int(np.argmax(vals >= thr))
-            ki = int(first[i]) + at
-            bx, by = mi * wx + ki * dx - x0 + sx, mi * wy + ki * dy - y0 + sy
-            sign = 1 - 2 * side
-            prefix = sign * np.cumsum(pad[bx, by] * ell) + sign * run[at, i]
-            k_end = ki + int(keys[int(np.argmax(prefix >= thr)) + 1]) / den
-        pos[side, i] = (mi * (wx * dx + wy * dy) + k_end * l2) / ln
-    return OffsetScan(Direction.along(dx, dy), tie, m / ln, chord, top, bottom, *pos)
+    return _Lines(keys, den, ell, sx, sy, x0, y0, wx, wy, m, first, pad, run, up, down,
+                  chord, up.max(axis=1), down.min(axis=1))
 
 
 def _steps(m, w, v, lo, hi):

@@ -3,13 +3,15 @@
 Chord and sub-segment maxima of a checkerboard are both attained along a
 primitive lattice direction (dx, dy) with |dx|, |dy| <= n, so those
 directions are the only candidates, carried as integer pairs: the search
-never rounds an angle.  best_chord / best_segment / scan_report evaluate
-each candidate, axes included, with radon.lattice_scan (every breakpoint
-chord from shifted board sums) and take the witness chord and segment from
-the winning line, so nothing is recomputed.  Ties between directions go to
-the smaller angle, with radon's tie_tolerance.  brute_force is the small-n
-oracle: it shares the enumeration of directions but evaluates every one of
-them through radon's scalar cell walk only.
+never rounds an angle.  best_chord / best_segment / scan_report group the
+candidates, axes included, by dihedral orbit and evaluate each orbit in one
+radon.orbit_scan pass (every breakpoint chord from shifted board sums),
+keeping only each direction's best chord and segment values.  Ties between
+directions go to the smaller angle, with radon's tie_tolerance.  Only the
+winning directions are scanned again, by radon.lattice_scan, for the
+witness chord and segment.  brute_force is the small-n oracle: it shares
+the enumeration of directions but evaluates every one of them through
+radon's scalar cell walk only.
 """
 
 from __future__ import annotations
@@ -17,9 +19,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .board import Coloring
 from .geom import Segment
-from .radon import Chord, Direction, _first_max, _walk_direction, lattice_scan, tie_tolerance
+from .radon import (
+    Chord,
+    Direction,
+    _first_max,
+    _first_maxima,
+    _walk_direction,
+    lattice_scan,
+    orbit_scan,
+    tie_tolerance,
+)
 from .radon import (  # noqa: F401  (kept as module attributes; perfbench/run.py hooks them)
     breakpoint_offsets,
     max_chord_in_direction,
@@ -53,32 +66,38 @@ def default_angles(n: int) -> int:
     return min(8 * n * n, _ANGLE_CAP)
 
 
-def _scan_direction(c: Coloring, v: tuple[int, int]):
-    # ((t*, chord max), (witness, segment max)) for the lattice direction v.
-    scan = lattice_scan(c, *v)
-    return scan.best_chord(), scan.best_segment()
-
-
 def _scan(c: Coloring, angles: int | None):
-    # One serial pass over the budgeted lattice directions: the directions
-    # and their _scan_direction results.
+    # One serial pass over the budgeted lattice directions, one orbit_scan
+    # per dihedral orbit: the directions and, per direction, the best chord
+    # and segment values that lattice_scan's best_chord and best_segment
+    # would report (the first line within tie of the maximum).
     if angles is None:
         angles = default_angles(c.n)
     if angles < 1:
         raise ValueError(f"angle count must be at least 1, got {angles}")
     dirs = _lattice_directions(c.n, angles)
-    return dirs, [_scan_direction(c, v) for v in dirs]
+    orbits: dict[tuple[int, ...], list[int]] = {}
+    for k, v in enumerate(dirs):
+        orbits.setdefault(tuple(sorted(map(abs, v))), []).append(k)
+    tie = tie_tolerance(c)
+    chord, seg = np.empty(len(dirs)), np.empty(len(dirs))
+    for ks in orbits.values():
+        ch, top, bottom = orbit_scan(c, [dirs[k] for k in ks])
+        chord[ks] = _first_maxima(np.abs(ch), tie)
+        seg[ks] = _first_maxima(top - bottom, tie)
+    return dirs, chord, seg
 
 
-def _chord_winner(dirs: list[tuple[int, int]], results, tie: float) -> tuple[Chord, float]:
-    # first max: ties across directions go to smaller theta
-    k = _first_max([r[0][1] for r in results], tie)
-    t, v = results[k][0]
-    return Chord(Direction.along(*dirs[k]), t), v
+def _chord_winner(c: Coloring, dirs: list[tuple[int, int]], chord) -> tuple[Chord, float]:
+    # first max: ties across directions go to smaller theta; the witness
+    # comes from one lattice_scan of the winning direction
+    v = dirs[_first_max(chord, tie_tolerance(c))]
+    t, value = lattice_scan(c, *v).best_chord()
+    return Chord(Direction.along(*v), t), value
 
 
-def _segment_winner(results, tie: float) -> tuple[Segment, float]:
-    return results[_first_max([r[1][1] for r in results], tie)][1]
+def _segment_winner(c: Coloring, dirs: list[tuple[int, int]], seg) -> tuple[Segment, float]:
+    return lattice_scan(c, *dirs[_first_max(seg, tie_tolerance(c))]).best_segment()
 
 
 def best_chord(c: Coloring, angles: int | None = None) -> tuple[Chord, float]:
@@ -89,31 +108,29 @@ def best_chord(c: Coloring, angles: int | None = None) -> tuple[Chord, float]:
     and reports the winning offset of the winning direction.  Deterministic
     for fixed inputs.
     """
-    dirs, results = _scan(c, angles)
-    return _chord_winner(dirs, results, tie_tolerance(c))
+    dirs, chord, _ = _scan(c, angles)
+    return _chord_winner(c, dirs, chord)
 
 
 def best_segment(c: Coloring, angles: int | None = None) -> tuple[Segment, float]:
     """Maximize |integral over any sub-segment|; same strategy as best_chord."""
-    _, results = _scan(c, angles)
-    return _segment_winner(results, tie_tolerance(c))
+    dirs, _, seg = _scan(c, angles)
+    return _segment_winner(c, dirs, seg)
 
 
-def _report(c: Coloring, dirs: list[tuple[int, int]], results,
+def _report(n: int, chord: tuple[Chord, float], seg: tuple[Segment, float],
             strategy: SearchStrategy) -> DiscrepancyReport:
-    # Both winners (first max) of one pass over dirs, plus the segment ratios.
-    n, tie = c.n, tie_tolerance(c)
-    seg = _segment_winner(results, tie)
+    # Both winners, plus the segment ratios.
     r2 = seg[1] / math.sqrt(n * math.log(n)) if n > 1 else None
-    return DiscrepancyReport(n, _chord_winner(dirs, results, tie), seg, strategy,
-                             seg[1] / math.sqrt(n), r2)
+    return DiscrepancyReport(n, chord, seg, strategy, seg[1] / math.sqrt(n), r2)
 
 
 def scan_report(c: Coloring, angles: int | None = None) -> DiscrepancyReport:
     """DiscrepancyReport from one lattice-direction scan (chords and segments)."""
-    dirs, results = _scan(c, angles)
+    dirs, chord, seg = _scan(c, angles)
     used = angles if angles is not None else default_angles(c.n)
-    return _report(c, dirs, results, SearchStrategy(used, False))
+    return _report(c.n, _chord_winner(c, dirs, chord), _segment_winner(c, dirs, seg),
+                   SearchStrategy(used, False))
 
 
 def _lattice_directions(n: int, budget: int | None = None) -> list[tuple[int, int]]:
@@ -148,4 +165,9 @@ def brute_force(c: Coloring) -> DiscrepancyReport:
         raise ValueError(f"brute_force is limited to n <= {_BRUTE_LIMIT}, got {c.n}")
     dirs = _lattice_directions(c.n)
     results = [_walk_direction(c, Direction.along(*v)) for v in dirs]
-    return _report(c, dirs, results, SearchStrategy(len(dirs), True))
+    tie = tie_tolerance(c)
+    k = _first_max([r[0][1] for r in results], tie)
+    t, v = results[k][0]
+    seg = results[_first_max([r[1][1] for r in results], tie)][1]
+    return _report(c.n, (Chord(Direction.along(*dirs[k]), t), v), seg,
+                   SearchStrategy(len(dirs), True))

@@ -7,7 +7,8 @@ slope grows like 1/sin, so both paths agree only to the conditioning of the
 offset itself.  Those boards have at most 169 breakpoints, one block of
 offset_scan, so fixed boards at n = 24 and 32 (625 and 1,089 breakpoints)
 check it across blocks.  lattice_scan is checked at every primitive lattice
-direction, axes included, values and witnesses both.
+direction, axes included, values and witnesses both, and orbit_scan, the
+search's batched call of the same kernel, against lattice_scan bit for bit.
 """
 
 import math
@@ -30,8 +31,10 @@ from needleboard.radon import (
     max_chord_in_direction,
     max_segment_in_direction,
     offset_scan,
+    orbit_scan,
     project,
 )
+from needleboard.search import _lattice_directions
 
 _GAP = 1e-3  # generic angles keep this distance from 0, pi/2 and pi
 
@@ -174,3 +177,43 @@ def test_lattice_chords_equal_offset_scan_at_every_breakpoint(case):
     ref = offset_scan(c, d)
     for a, b in zip(scan[3:6], ref[3:6]):
         assert np.max(np.abs(a - b)) <= 1e-9 * c.n
+
+
+@st.composite
+def orbit_cases(draw):
+    # a board and every dihedral orbit of its lattice directions, each
+    # shuffled (its first member sets the common vector) and cut to a
+    # non-empty prefix, as a budget may cut it
+    c = draw(boards())
+    orbits: dict = {}
+    for v in _lattice_directions(c.n):
+        orbits.setdefault(tuple(sorted(map(abs, v))), []).append(v)
+    rnd = draw(st.randoms(use_true_random=False))
+    cut = []
+    for vecs in orbits.values():
+        rnd.shuffle(vecs)
+        cut.append(vecs[:rnd.randint(1, len(vecs))])
+    return c, cut
+
+
+@settings(max_examples=60)
+@given(orbit_cases())
+def test_orbit_scan_equals_lattice_scan_bit_for_bit(case):
+    # bit identity, not closeness: the search's tie rule across directions
+    # and every report rest on it
+    c, orbits = case
+    for vecs in orbits:
+        out = orbit_scan(c, vecs)
+        for k, v in enumerate(vecs):
+            scan = lattice_scan(c, *v)
+            assert np.array_equal(out[0, k], scan.chord)
+            assert np.array_equal(out[1, k], scan.top)
+            assert np.array_equal(out[2, k], scan.bottom)
+
+
+def test_orbit_scan_rejects_mixed_orbits():
+    c = make_random(4, seed=0)
+    with pytest.raises(ValueError):
+        orbit_scan(c, [(1, 2), (1, 3)])
+    with pytest.raises(ValueError):
+        orbit_scan(c, [(2, 2)])

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from needleboard.board import (
     Coloring,
@@ -15,10 +17,14 @@ from needleboard.board import (
     make_stripes,
 )
 from needleboard.radon import (
+    Chord,
     Direction,
+    _first_max,
     _walk_direction,
+    lattice_scan,
     max_chord_in_direction,
     max_segment_in_direction,
+    tie_tolerance,
 )
 from needleboard.search import (
     DiscrepancyReport,
@@ -29,7 +35,6 @@ from needleboard.search import (
     scan_report,
     _lattice_directions,
     _scan,
-    _scan_direction,
 )
 from needleboard.spectral import certified_lower_bound
 
@@ -37,7 +42,7 @@ from needleboard.spectral import certified_lower_bound
 def test_vectorized_direction_scan_matches_scalar_path():
     # generic angles (and the axes as angles) run offset_scan through
     # max_*_in_direction; every lattice pair, axes included, runs
-    # lattice_scan through _scan_direction
+    # lattice_scan
     rng = np.random.default_rng(3)
     for n, seed in ((2, 1), (4, 3), (6, 0), (8, 9)):
         c = make_random(n, seed)
@@ -50,7 +55,8 @@ def test_vectorized_direction_scan_matches_scalar_path():
             assert vc_fast == pytest.approx(vc_exact, abs=1e-12)
             assert vs_fast == pytest.approx(vs_exact, abs=1e-12)
         for v in _lattice_directions(n):
-            (_, vc_fast), (_, vs_fast) = _scan_direction(c, v)
+            scan = lattice_scan(c, *v)
+            (_, vc_fast), (_, vs_fast) = scan.best_chord(), scan.best_segment()
             (_, vc_exact), (_, vs_exact) = _walk_direction(c, Direction.along(*v))
             assert vc_fast == pytest.approx(vc_exact, abs=1e-12)
             assert vs_fast == pytest.approx(vs_exact, abs=1e-12)
@@ -64,8 +70,10 @@ def test_tie_heavy_boards_pick_the_same_witnesses_on_both_routes():
         tol = 1e-12 * n
         for c in (make_constant(n, +1), make_parity(n), make_stripes(n, "horizontal"),
                   make_stripes(n, "vertical")):
-            dirs, results = _scan(c, None)
+            dirs = _lattice_directions(n)
             rep = scan_report(c)
+            results = [(s.best_chord(), s.best_segment())
+                       for s in (lattice_scan(c, *v) for v in dirs)]
             for v, ((t, vc), (seg, vs)) in zip(dirs, results):
                 d = Direction.along(*v)
                 t_ref, vc_ref = max_chord_in_direction(c, d)
@@ -77,6 +85,85 @@ def test_tie_heavy_boards_pick_the_same_witnesses_on_both_routes():
             k = [Direction.along(*v) for v in dirs].index(ch.direction)
             assert (ch.t, vc) == results[k][0]
             assert rep.best_segment in [r[1] for r in results]
+
+
+def _per_direction_route(c, angles):
+    # one lattice_scan per direction: each direction's best chord and
+    # segment, then the first max across directions (ties to the smaller
+    # angle)
+    dirs = _lattice_directions(c.n, default_angles(c.n) if angles is None else angles)
+    tie = tie_tolerance(c)
+    scans = [lattice_scan(c, *v) for v in dirs]
+    chords = [s.best_chord() for s in scans]
+    segs = [s.best_segment() for s in scans]
+    k = _first_max([v for _, v in chords], tie)
+    t, v = chords[k]
+    chord = (Chord(Direction.along(*dirs[k]), t), v)
+    seg = segs[_first_max([v for _, v in segs], tie)]
+    return dirs, [v for _, v in chords], [v for _, v in segs], chord, seg
+
+
+@pytest.mark.parametrize("angles", [None, 1, 2, 3, 5, 7])
+def test_orbit_batched_search_equals_the_per_direction_route(angles):
+    # exact equality, witnesses included: budgets 1..7 split orbits, and at
+    # n = 1 and 2 the orbits are the degenerate pairs (axes, diagonals)
+    real = Coloring(6, np.random.default_rng(6).uniform(-4.0, 4.0, (6, 6)))
+    for c in (make_constant(1, -1), make_random(2, 0), make_parity(2), make_random(3, 1),
+              make_random(7, 2), make_constant(8, 1), make_stripes(5, "vertical"),
+              make_parity(6), real):
+        dirs, chords, segs, chord, seg = _per_direction_route(c, angles)
+        got_dirs, got_chords, got_segs = _scan(c, angles)
+        assert got_dirs == dirs
+        assert got_chords.tolist() == chords and got_segs.tolist() == segs
+        rep = scan_report(c, angles)
+        assert rep.best_chord == chord
+        assert rep.best_segment == seg
+        assert best_chord(c, angles) == chord
+        assert best_segment(c, angles) == seg
+
+
+def test_search_builds_witnesses_only_for_the_winners(monkeypatch):
+    import needleboard.search as search
+
+    calls = []
+
+    def counted(c, dx, dy):
+        calls.append((dx, dy))
+        return lattice_scan(c, dx, dy)
+
+    monkeypatch.setattr(search, "lattice_scan", counted)
+    for c in (make_random(9, 3), make_parity(4)):
+        for fn, most in ((scan_report, 2), (best_chord, 1), (best_segment, 1)):
+            calls.clear()
+            fn(c)
+            assert 1 <= len(calls) <= most
+
+
+@st.composite
+def boards(draw):
+    n = draw(st.integers(1, 9))
+    cell = draw(st.sampled_from([
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+    ]))
+    values = draw(st.lists(cell, min_size=n * n, max_size=n * n))
+    return Coloring(n, np.array(values).reshape(n, n))
+
+
+@settings(max_examples=40)
+@given(boards())
+def test_scan_report_is_invariant_under_the_dihedral_group(c):
+    # the 8 symmetries of the square move every chord and segment onto one
+    # of the same length and integral; the values agree within the tie
+    # tolerance, not bit for bit, since moved chords are summed in another
+    # order
+    tie = tie_tolerance(c)
+    rep = scan_report(c)
+    for k in range(4):
+        for cells in (np.rot90(c.cells, k), np.rot90(c.cells.T, k)):
+            moved = scan_report(Coloring(c.n, np.ascontiguousarray(cells)))
+            assert abs(moved.best_chord[1] - rep.best_chord[1]) <= tie
+            assert abs(moved.best_segment[1] - rep.best_segment[1]) <= tie
 
 
 def test_best_chord_constant_board_is_the_diagonal():
@@ -132,6 +219,7 @@ def test_brute_force_never_reaches_the_kernel(monkeypatch):
     monkeypatch.setattr(radon, "offset_scan", kernel)
     monkeypatch.setattr(radon, "lattice_scan", kernel)
     monkeypatch.setattr(search, "lattice_scan", kernel)
+    monkeypatch.setattr(search, "orbit_scan", kernel)
     rep = brute_force(make_random(3, 5))
     assert rep.best_segment[1] >= rep.best_chord[1] > 0.0
 
