@@ -125,10 +125,10 @@ def write_text(c: Coloring, stream: TextIO) -> None:
             f"cell ({bad[0]}, {bad[1]}) = {cells[bad[0], bad[1]]!r} is not +-1; "
             "text format encodes sign boards only"
         )
-    stream.write(f"{HEADER}\n{c.n}\n")
-    for r in range(c.n):
-        j = c.n - 1 - r
-        stream.write("".join("+" if cells[i, j] > 0 else "-" for i in range(c.n)) + "\n")
+    # text[r, i] is the character of cell (i, n-1-r); the last column is "\n"
+    text = np.full((c.n, c.n + 1), ord("\n"), dtype=np.uint8)
+    text[:, :-1] = np.where(cells.T[::-1] > 0, ord("+"), ord("-"))
+    stream.write(f"{HEADER}\n{c.n}\n" + text.tobytes().decode("ascii"))
 
 
 def read_text(stream: TextIO) -> Coloring:
@@ -154,16 +154,19 @@ def read_text(stream: TextIO) -> Coloring:
         if len(lines) < 2 + n:
             raise BoardFormatError(f"line {len(lines) + 1}: expected {n} rows, found {len(lines) - 2}")
         raise BoardFormatError(f"line {3 + n}: unexpected content after {n} rows")
-    cells = np.empty((n, n))
-    for r, row in enumerate(lines[2:]):
-        lineno = 3 + r
-        if len(row) != n:
-            raise BoardFormatError(f"line {lineno}: row has length {len(row)}, expected {n}")
-        for i, ch in enumerate(row):
-            if ch == "+":
-                cells[i, n - 1 - r] = 1.0
-            elif ch == "-":
-                cells[i, n - 1 - r] = -1.0
-            else:
-                raise BoardFormatError(f"line {lineno}: illegal character {ch!r} at column {i + 1}")
-    return Coloring(n, cells)
+    rows = lines[2:]
+    # Rows are checked in file order, each for its length and then for its
+    # characters: the first faulty row is the one reported.
+    short = next((r for r, row in enumerate(rows) if len(row) != n), n)
+    # one code point per character, so an index into codes is a column
+    codes = np.frombuffer("".join(rows[:short]).encode("utf-32-le", "surrogatepass"),
+                          dtype=np.uint32).reshape(short, n)
+    plus = codes == ord("+")
+    bad = np.flatnonzero(~plus & (codes != ord("-")))
+    if bad.size:
+        r, i = divmod(int(bad[0]), n)
+        raise BoardFormatError(f"line {3 + r}: illegal character {rows[r][i]!r} at column {i + 1}")
+    if short < n:
+        raise BoardFormatError(
+            f"line {3 + short}: row has length {len(rows[short])}, expected {n}")
+    return Coloring(n, np.where(plus, 1.0, -1.0)[::-1].T)

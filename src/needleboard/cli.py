@@ -37,7 +37,13 @@ from .board import (
 from .geom import Segment, cell_crossings, integrate, integrate_mc
 from .radon import Chord, Direction, project
 from .search import best_chord, brute_force, scan_report
-from .spectral import certified_lower_bound, line_energy, slice_residual, tail_energy
+from .spectral import (
+    certified_lower_bound,
+    interval_profile,
+    line_energy,
+    slice_residual,
+    tail_energy,
+)
 from .verify import (
     hoeffding_tail,
     lower_bound_scan,
@@ -309,12 +315,12 @@ def _cmd_spectrum(args) -> int:
         "grid": rep.grid,
     }
     if args.theta is not None:
-        d = Direction(args.theta)
+        profile = interval_profile(c, Direction(args.theta))
         grid = [k * 0.25 for k in range(-32, 33)]
         result["slice"] = {
-            "theta": d.theta,
-            "line_energy": line_energy(c, d),
-            "residual": slice_residual(c, d, grid),
+            "theta": profile.direction.theta,
+            "line_energy": line_energy(profile),
+            "residual": slice_residual(c, profile, grid),
             "freq_window": 8.0,
         }
     _emit_json(args, result)

@@ -1,10 +1,11 @@
 """Exact geometry of segments against the unit grid.
 
 Decomposes a segment into per-cell pieces by parametric grid walking and
-integrates cell values along it.  clip_line is the package's one scalar
-board clip; radon.chord_segment clips chords with it too.  Boundary
-ownership is half-open: a piece lying exactly on gridline x = i belongs to
-column i (same for rows), and pieces on x = n or y = n belong to no cell.
+integrates cell values along it.  clip_line is the package's floating-point
+board clip, used by radon.chord_segment; cell_crossings clips in exact
+rationals whenever an endpoint lies off the board.  Boundary ownership is
+half-open: a piece lying exactly on gridline x = i belongs to column i
+(same for rows), and pieces on x = n or y = n belong to no cell.
 """
 
 from __future__ import annotations
@@ -91,9 +92,10 @@ def _outside(p: tuple[float, float], n: int) -> float:
     return max(-p[0], p[0] - n, -p[1], p[1] - n, 0.0)
 
 
-def _entry_index(w: float, d: float, n: int):
-    # Initial cell index along one axis; None when the segment lies on the
-    # far gridline w = n (owned by no cell).
+def _entry_index(w, d: float, n: int):
+    # Initial cell index along one axis from the exact entry coordinate w (a
+    # float or a rational); None when the segment lies on the far gridline
+    # w = n (owned by no cell).
     if w >= n:
         return n - 1 if d < 0.0 else None
     iw = math.floor(w)
@@ -102,21 +104,49 @@ def _entry_index(w: float, d: float, n: int):
     return iw if iw >= 0 else None
 
 
+def _exact_clip(p: tuple[float, float], q: tuple[float, float], n: int):
+    # Liang-Barsky in exact rationals for the segment p -> q: the start
+    # parameter, the exact start point, and the coordinates x0, y0, x1, y1
+    # of both clipped ends, each as its nearest float plus the rounding
+    # error; None when the clipped part is empty or a single point.
+    # fractions (with decimal) is imported here, not with the module: it
+    # adds about 4 ms to every CLI start, and only segments with an end
+    # off the board need it.
+    from fractions import Fraction
+
+    px, py = Fraction(p[0]), Fraction(p[1])
+    dx, dy = Fraction(q[0]) - px, Fraction(q[1]) - py
+    lo, hi = Fraction(0), Fraction(1)
+    for w, d in ((px, dx), (py, dy)):
+        if d:
+            r0, r1 = -w / d, (n - w) / d
+            lo, hi = max(lo, min(r0, r1)), min(hi, max(r0, r1))
+        elif not 0 <= w <= n:
+            return None
+    if lo >= hi:
+        return None
+    ends = (px + lo * dx, py + lo * dy, px + hi * dx, py + hi * dy)
+    return lo, ends[:2], [(float(w), float(w - Fraction(float(w)))) for w in ends]
+
+
 def cell_crossings(s: Segment, n: int) -> CrossingList:
     """Exact decomposition of s intersected with [0, n]^2 into per-cell pieces.
 
-    Clips s to the board (clip_line) from the endpoint nearer to it, by
-    L-infinity distance outside the board with ties to s.a; when s.b is
-    nearer, the reversed segment is walked and its pieces are reversed.  A
-    far endpoint thus cannot round the clip away, and the walk starts at an
-    endpoint whenever one lies on the board.  Gridline crossings are walked
-    in the clipped segment's own parameter, so the lattice-point tie
-    tolerance is relative to at most sqrt(2) n of arclength however long s
-    is.  Crossing parameters are always recomputed from endpoint
-    differences, never accumulated.  A pass through a lattice point advances
-    both indices at once.  t_in/t_out are arclengths from s.a; piece lengths
-    telescope to the clipped length exactly.  Raises ValueError when the
-    length of s is not a finite float.
+    Walks from the endpoint nearer the board, by L-infinity distance outside
+    it with ties to s.a; when s.b is nearer, the reversed segment is walked
+    and its pieces are reversed, so the walk starts at an endpoint whenever
+    one lies on the board.  When an endpoint is off the board, s is clipped
+    in exact rationals and the first cell is read off the exact entry
+    point: a line within a rounding error of a gridline starts on the
+    correct side of it, and a far endpoint cannot round the clip away.
+    Gridline crossings are walked in the clipped segment's own parameter,
+    so the lattice-point tie tolerance is relative to at most sqrt(2) n of
+    arclength however long s is.  Each crossing parameter is recomputed
+    from the clipped ends, carrying their rounding errors, never
+    accumulated.  A pass through a lattice point advances both indices at
+    once.  t_in/t_out are arclengths from s.a; piece lengths telescope to
+    the clipped length exactly.  Raises ValueError when the length of s is
+    not a finite float.
     """
     if n < 1:
         raise ValueError(f"board side must be a positive integer, got {n}")
@@ -130,38 +160,48 @@ def cell_crossings(s: Segment, n: int) -> CrossingList:
     if _outside(s.b, n) < _outside(s.a, n):
         back = cell_crossings(Segment(s.b, s.a), n).entries[::-1]
         return CrossingList(tuple(e._replace(t_in=ln - e.t_out, t_out=ln - e.t_in) for e in back))
-    rng = clip_line(ax, ay, dx, dy, n, 0.0, 1.0)
-    if rng is None or rng[0] >= rng[1]:  # a single point has no pieces
-        return CrossingList(())
-    t0, t1 = rng
-    x0 = min(max(ax + t0 * dx, 0.0), float(n))
-    y0 = min(max(ay + t0 * dy, 0.0), float(n))
-    i = _entry_index(x0, dx, n)
-    j = _entry_index(y0, dy, n)
+    # The clipped segment runs from p0 to p1.  With both ends of s on the
+    # board it is s itself, walked from s.a along (dx, dy).  Otherwise s.b
+    # is off the board and the clip is exact: p0 and p1 are rationals.
+    if _outside(s.b, n) > 0.0:
+        clipped = _exact_clip(s.a, s.b, n)
+        if clipped is None:
+            return CrossingList(())
+        t0, p0, ((x0, ex0), (y0, ey0), (x1, ex1), (y1, ey1)) = clipped
+    else:
+        t0, p0 = 0.0, s.a
+        (x0, ex0), (y0, ey0) = (ax, 0.0), (ay, 0.0)
+        x1, ex1 = min(max(ax + dx, 0.0), float(n)), 0.0
+        y1, ey1 = min(max(ay + dy, 0.0), float(n)), 0.0
+    # The first cell is read off the exact start p0.
+    i = _entry_index(p0[0], dx, n)
+    j = _entry_index(p0[1], dy, n)
     if i is None or j is None:
         return CrossingList(())
-    # The clipped segment (x0, y0) + u (cx, cy), u in [0, 1].  Its
-    # differences keep the signs of (dx, dy) or round to 0, in which case
-    # that axis is never crossed.
-    cx = min(max(ax + t1 * dx, 0.0), float(n)) - x0
-    cy = min(max(ay + t1 * dy, 0.0), float(n)) - y0
+    # The walk's coordinates are (x0 + ex0, y0 + ey0) + u (cx, cy), u in
+    # [0, 1]: each end is a float plus its rounding error, so a line within
+    # a rounding error of parallel to a gridline crosses it at the right
+    # place.  The differences keep the signs of (dx, dy) or round to 0, in
+    # which case that axis is never crossed.
+    cx = (x1 - x0) + (ex1 - ex0)
+    cy = (y1 - y0) + (ey1 - ey0)
     lnc = math.hypot(cx, cy)
-    off = t0 * ln
+    off = float(t0) * ln
     sx = 1 if dx > 0.0 else (-1 if dx < 0.0 else 0)
     sy = 1 if dy > 0.0 else (-1 if dy < 0.0 else 0)
 
     def next_tx(ii: int) -> float:
         if cx > 0.0:
-            return ((ii + 1) - x0) / cx
+            return (((ii + 1) - x0) - ex0) / cx
         if cx < 0.0:
-            return (ii - x0) / cx
+            return ((ii - x0) - ex0) / cx
         return math.inf
 
     def next_ty(jj: int) -> float:
         if cy > 0.0:
-            return ((jj + 1) - y0) / cy
+            return (((jj + 1) - y0) - ey0) / cy
         if cy < 0.0:
-            return (jj - y0) / cy
+            return ((jj - y0) - ey0) / cy
         return math.inf
 
     entries = []

@@ -39,6 +39,16 @@ O(G^2 n) for forming phi at every sample, and no G x G array is built.  The
 sine sums vanish on a symmetric interval of exactly mirrored samples; they
 are kept so that the sample set is the disk predicate's, whatever the
 rounding of the sample points.
+
+The slice check works from one projection per direction: interval_profile
+runs project once, and line_energy and slice_residual both read the
+IntervalProfile it returns.  slice_residual transforms that profile in
+closed form, interval by interval.  The profile is real, so the transform at
+-xi is the conjugate of the one at xi; each distinct |xi| is evaluated once,
+in blocks of at most 2^13 frequency x interval elements.  A block's ten or
+so complex temporaries (128 KB each) then stay in a core's L2 cache; on a
+2-core x86 host with 2 MB of L2 per core, 2^13 took half the time of 2^15
+at n = 64.
 """
 
 from __future__ import annotations
@@ -54,6 +64,7 @@ from .radon import Direction, project
 
 _REL_TOL = 1e-4  # quadrature: relative stability target under grid doubling
 _GRID_CAP = 1 << 15  # quadrature: max midpoint samples per axis
+_BLOCK = 1 << 13  # slice transform: max frequency x interval elements per block
 
 
 def chi_q_hat(xi) -> complex:
@@ -90,26 +101,36 @@ def _f_hat_points(c: Coloring, x1s: np.ndarray, x2s: np.ndarray) -> np.ndarray:
     return chi * ph
 
 
-def _interval_profile(c: Coloring, direction: Direction):
-    # One-sided interior limits of the offset profile on each breakpoint
-    # interval.  Generic directions: the profile is continuous piecewise
-    # linear, so limits are the breakpoint values.  Axis directions: the
-    # profile is constant on [k, k+1] at the sum of line k, which is also the
-    # value the gridline t = k owns in the projection.
+@dataclass(frozen=True)
+class IntervalProfile:
+    """Offset profile of one direction on its breakpoint intervals [a_k, b_k].
+
+    va_k and vb_k are the one-sided interior limits at a_k and b_k; the
+    profile is linear between them.  Generic directions: the profile is
+    continuous piecewise linear, so the limits are the breakpoint values.
+    Axis directions: the profile is constant on [k, k+1] at the sum of line
+    k, which is also the value the gridline t = k owns in the projection.
+    """
+
+    direction: Direction
+    a: np.ndarray
+    b: np.ndarray
+    va: np.ndarray
+    vb: np.ndarray
+
+
+def interval_profile(c: Coloring, direction: Direction) -> IntervalProfile:
+    """The board's offset profile in one direction, from one projection."""
     p = project(c, direction)
     t, v = p.breakpoints, p.values
-    if direction.is_axis():
-        return t[:-1], t[1:], v[:-1], v[:-1]
-    return t[:-1], t[1:], v[:-1], v[1:]
+    vb = v[:-1] if direction.is_axis() else v[1:]
+    return IntervalProfile(direction, t[:-1], t[1:], v[:-1], vb)
 
 
-def _profile_transform(a, b, va, vb, xis: np.ndarray) -> np.ndarray:
+def _transform_rows(mid, h, vbar, slope, xis: np.ndarray) -> np.ndarray:
     # Closed-form 1-D transform of a piecewise-linear profile: per interval,
-    # integral of (linear) * e^(-2 pi i xi t) about the interval midpoint.
-    mid = ((a + b) / 2)[None, :]
-    h = ((b - a) / 2)[None, :]
-    vbar = ((va + vb) / 2)[None, :]
-    slope = ((vb - va) / (b - a))[None, :]
+    # integral of (linear) * e^(-2 pi i xi t) about the interval midpoint,
+    # one row per frequency, each row summed whole.
     om = 2.0 * math.pi * xis[:, None]
     x = om * h
     even = vbar * 2.0 * h * np.sinc(2.0 * xis[:, None] * h)
@@ -122,25 +143,48 @@ def _profile_transform(a, b, va, vb, xis: np.ndarray) -> np.ndarray:
     return np.sum(np.exp(-1j * om * mid) * (even + slope * odd), axis=1)
 
 
-def slice_residual(c: Coloring, direction: Direction, freq_grid) -> float:
+def _profile_transform(p: IntervalProfile, xis: np.ndarray) -> np.ndarray:
+    # Each distinct |xi| once, in blocks of whole rows, and -xi as the
+    # conjugate (module docstring).  numpy's sin, cos and exp are odd or
+    # even to the bit, and a row's sum does not depend on its block, so the
+    # values are those of one pass over the whole grid
+    # (tests/test_spectral.py pins this).
+    mags, index = np.unique(np.abs(xis), return_inverse=True)
+    mid = ((p.a + p.b) / 2)[None, :]
+    h = ((p.b - p.a) / 2)[None, :]
+    vbar = ((p.va + p.vb) / 2)[None, :]
+    slope = ((p.vb - p.va) / (p.b - p.a))[None, :]
+    rows = max(1, _BLOCK // p.a.size)
+    out = np.empty(mags.size, dtype=np.complex128)
+    for s in range(0, mags.size, rows):
+        out[s : s + rows] = _transform_rows(mid, h, vbar, slope, mags[s : s + rows])
+    lhs = out[index]
+    return np.where(xis < 0.0, np.conj(lhs), lhs)
+
+
+def slice_residual(c: Coloring, profile: IntervalProfile, freq_grid) -> float:
     """Max over the grid of |1-D transform of the profile - f_hat on the ray|.
 
     The projection-slice identity makes this zero in exact arithmetic, so the
-    residual is a two-sided consistency oracle for both code paths.
+    residual is a two-sided consistency oracle for both code paths.  The
+    profile must be interval_profile(c, direction); a frequency that is not
+    finite raises ValueError.
     """
     xis = np.asarray(list(freq_grid), dtype=np.float64)
+    bad = xis[~np.isfinite(xis)]
+    if bad.size:
+        raise ValueError(f"frequency {bad[0]} is not finite")
     if xis.size == 0:
         return 0.0
-    a, b, va, vb = _interval_profile(c, direction)
-    lhs = _profile_transform(a, b, va, vb, xis)
-    ux, uy = direction.u
+    lhs = _profile_transform(profile, xis)
+    ux, uy = profile.direction.u
     rhs = _f_hat_points(c, xis * ux, xis * uy)
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def line_energy(c: Coloring, direction: Direction) -> float:
+def line_energy(profile: IntervalProfile) -> float:
     """Integral of the squared offset profile, exact per linear interval."""
-    a, b, va, vb = _interval_profile(c, direction)
+    a, b, va, vb = profile.a, profile.b, profile.va, profile.vb
     return float(np.sum((b - a) / 3.0 * (va * va + va * vb + vb * vb)))
 
 

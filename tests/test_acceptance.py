@@ -23,6 +23,7 @@ from needleboard import (
     hoeffding_tail,
     integrate,
     integrate_mc,
+    interval_profile,
     lower_bound_scan,
     make_constant,
     make_parity,
@@ -125,7 +126,7 @@ def test_criterion_06_projection_transform_agreement():
     for n in (2, 4, 8, 16):
         c = make_random(n, n)
         for theta in rng.uniform(0.0, math.pi, 20):
-            r = slice_residual(c, Direction(float(theta)), grid)
+            r = slice_residual(c, interval_profile(c, Direction(float(theta))), grid)
             worst = max(worst, r / (n * n))
             ok = ok and r <= 1e-6 * n * n
     _verdict(6, "projection transform agreement", ok,

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from needleboard.board import (
     BoardFormatError,
@@ -144,3 +146,49 @@ def test_write_text_rejects_non_sign_values():
 def test_read_text_malformed(text, where):
     with pytest.raises(BoardFormatError, match=where):
         read_text(io.StringIO(text))
+
+
+# Reference loops for the text format: the character-by-character writer
+# and row parser that write_text and read_text replace with array code.
+def _reference_text(c):
+    rows = ["".join("+" if c.cells[i, c.n - 1 - r] > 0 else "-" for i in range(c.n))
+            for r in range(c.n)]
+    return f"needleboard v1\n{c.n}\n" + "".join(row + "\n" for row in rows)
+
+
+def _reference_row_error(rows, n):
+    for r, row in enumerate(rows):
+        if len(row) != n:
+            return f"line {3 + r}: row has length {len(row)}, expected {n}"
+        for i, ch in enumerate(row):
+            if ch not in "+-":
+                return f"line {3 + r}: illegal character {ch!r} at column {i + 1}"
+    return None
+
+
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_text_round_trip_property(n, seed):
+    c = Coloring(n, np.random.default_rng(seed).choice([-1.0, 1.0], size=(n, n)))
+    buf = io.StringIO()
+    write_text(c, buf)
+    assert buf.getvalue() == _reference_text(c)
+    buf.seek(0)
+    assert read_text(buf) == c
+
+
+@given(st.integers(1, 8), st.data())
+def test_row_errors_match_the_reference_parser(n, data):
+    # Rows of any length over an alphabet with illegal characters (a space,
+    # a tab, non-ASCII, a lone surrogate): read_text reports the first
+    # faulty row, and in it a wrong length before an illegal character.
+    chars = st.sampled_from(["+", "-", "+", "-", "x", " ", "\t", "\u00e9", "\ud800", "\U0001f600"])
+    rows = data.draw(st.lists(st.text(chars, min_size=n - 1, max_size=n + 1),
+                              min_size=n, max_size=n))
+    want = _reference_row_error(rows, n)
+    text = f"needleboard v1\n{n}\n" + "".join(row + "\n" for row in rows)
+    if want is None:
+        assert read_text(io.StringIO(text)).n == n
+    else:
+        with pytest.raises(BoardFormatError) as err:
+            read_text(io.StringIO(text))
+        assert str(err.value) == want

@@ -11,7 +11,8 @@ import sys
 
 import pytest
 
-from needleboard import brute_force, make_parity, make_random, read_text, write_text
+import needleboard
+from needleboard import brute_force, make_parity, make_random, read_text, spectral, write_text
 from needleboard.cli import main
 
 
@@ -136,6 +137,21 @@ def test_spectrum_split_and_slice(tmp_path, capsys):
     assert res["slice"]["line_energy"] >= 0.0
 
 
+def test_spectrum_job_projects_the_board_once(tmp_path, capsys, monkeypatch):
+    # line_energy and slice_residual share one interval profile.
+    calls = []
+    real = spectral.project
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(spectral, "project", counting)
+    board = _board_file(tmp_path, make_random(6, 2))
+    _run_json(["spectrum", "--board", board, "--a", "4", "--theta", "0.7"], capsys)
+    assert len(calls) == 1
+
+
 def test_tail_csv_rows(capsys):
     rc = main(["tail", "--n", "4", "--seg", "0,0.5,4,0.5", "--trials", "500",
                "--format", "csv"])
@@ -257,12 +273,23 @@ def test_help_and_version_exit_zero(capsys):
     assert "needleboard" in capsys.readouterr().out
 
 
-def _cli(argv, env=None):
+def _cli(argv, env=None, module="needleboard.cli"):
     merged = dict(os.environ, **(env or {}))
-    return subprocess.run(
-        [sys.executable, "-m", "needleboard.cli", *argv],
-        capture_output=True, env=merged,
-    )
+    return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, env=merged)
+
+
+def test_python_dash_m_needleboard_runs_the_cli(tmp_path):
+    # The package runs as a module from its source tree, without an install.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(needleboard.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    board = _board_file(tmp_path, make_random(5, 4))
+    argv = ["spectrum", "--board", board, "--a", "4", "--theta", "0.7"]
+    run = _cli(argv, env={"PYTHONPATH": path}, module="needleboard")
+    assert run.returncode == 0, run.stderr.decode()
+    assert run.stdout == _cli(argv, env={"PYTHONPATH": path}).stdout
+    bad = _cli(["spectrum", "--board", board, "--a", "nan"], env={"PYTHONPATH": path},
+               module="needleboard")
+    assert bad.returncode == 1
 
 
 def test_monte_carlo_far_segment_writes_nothing_to_stderr(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,10 +76,9 @@ def test_crossings_of_very_long_segments():
 
 
 def test_crossings_from_a_far_first_endpoint():
-    # The clip is anchored at the endpoint nearer the board, so a far first
-    # endpoint loses nothing.  Segments with both endpoints far from the
-    # board are best effort: the clip's precision is relative to the nearer
-    # endpoint's distance.
+    # The walk starts at the endpoint nearer the board, and a segment with
+    # an end off the board is clipped in exact rationals, so a far first
+    # endpoint loses nothing.
     c = make_constant(16, 1)
     for s in (Segment((1e20, 0.5), (0, 0.5)), Segment((1e100, 0.5), (0, 0.5)),
               Segment((0.5, 1e20), (0.5, 0))):
@@ -339,3 +339,90 @@ def test_translation_into_padded_board_property(case, p, q, extra):
     moved = Segment((s.a[0] + p, s.a[1] + q), (s.b[0] + p, s.b[1] + q))
     got = integrate(Coloring(big.shape[0], big), moved)
     assert abs(got - integrate(c, s)) <= 1e-9 * big.shape[0]
+
+
+def _exact_pieces(s, n):
+    # Reference walk in exact rationals: clip, cut at every gridline
+    # crossing, and give each piece to the cell of its exact midpoint (a
+    # piece on x = n or y = n belongs to no cell).  Returns cell -> length.
+    ax, ay = Fraction(s.a[0]), Fraction(s.a[1])
+    dx, dy = Fraction(s.b[0]) - ax, Fraction(s.b[1]) - ay
+    lo, hi = Fraction(0), Fraction(1)
+    for w, d in ((ax, dx), (ay, dy)):
+        if d:
+            r0, r1 = -w / d, (n - w) / d
+            lo, hi = max(lo, min(r0, r1)), min(hi, max(r0, r1))
+        elif not 0 <= w <= n:
+            return {}
+    if lo >= hi:
+        return {}
+    cuts = {lo, hi} | {(k - w) / d for w, d in ((ax, dx), (ay, dy)) if d
+                       for k in range(n + 1) if lo < (k - w) / d < hi}
+    cuts = sorted(cuts)
+    ln = math.hypot(s.b[0] - s.a[0], s.b[1] - s.a[1])
+    pieces = {}
+    for t0, t1 in zip(cuts, cuts[1:]):
+        tm = (t0 + t1) / 2
+        cell = (math.floor(ax + tm * dx), math.floor(ay + tm * dy))
+        if max(cell) < n:
+            pieces[cell] = pieces.get(cell, 0.0) + float(t1 - t0) * ln
+    return pieces
+
+
+def _walked_pieces(s, n):
+    pieces = {}
+    for e in cell_crossings(s, n):
+        pieces[(e.i, e.j)] = pieces.get((e.i, e.j), 0.0) + e.length
+    return pieces
+
+
+def test_entry_cell_of_a_line_just_below_a_gridline():
+    # The line enters at x = 0 about 5e-17 below y = 1, which rounds onto
+    # y = 1; it crosses y = 1 at x = 0.8504, so row 0 (+1) holds the first
+    # 0.85 of its 16 units and row 1 (-1) the rest: about -14.30, not -16.
+    c = make_stripes(16, "horizontal")
+    a, b = (-1.0, 0.9999999999999999), (1e20, 6001.0)
+    want = _exact_pieces(Segment(a, b), 16)
+    assert want[(0, 0)] == pytest.approx(0.8503717077085943, abs=1e-15)
+    exact = sum(c.cells[cell] * length for cell, length in want.items())
+    for s in (Segment(a, b), Segment(b, a)):
+        assert cell_crossings(s, 16).entries[0 if s.a == a else -1][:2] == (0, 0)
+        assert integrate(c, s) == pytest.approx(exact, abs=1e-12)
+
+
+@st.composite
+def grazing_segments(draw):
+    # Segments that start near gridline y = k, on or off the board, and
+    # rise q ulps of k per unit of x toward a far end.  For |q| of a few
+    # ulps or less, a rounded entry point can land on the wrong side of
+    # y = k, and a rounded exit point can misplace the crossing by whole
+    # cells.  Half of them are transposed, half reversed.
+    n = draw(st.integers(1, 16))
+    k = draw(st.integers(0, n))
+    y = float(k)
+    for _ in range(draw(st.integers(0, 3))):
+        y = math.nextafter(y, draw(st.sampled_from([-math.inf, math.inf])))
+    x = draw(st.floats(-3.0, 3.0))
+    far = draw(st.sampled_from([1e4, 1e8, 1e12, 1e16, 1e20]))
+    q = draw(st.floats(-4.0, 4.0))
+    start, end = (x, y), (far, y + q * math.ulp(max(k, 1)) * (far - x))
+    if draw(st.booleans()):
+        start, end = start[::-1], end[::-1]
+    s = Segment(start, end) if draw(st.booleans()) else Segment(end, start)
+    return n, s
+
+
+@st.composite
+def near_and_far_segments(draw):
+    n = draw(st.integers(1, 16))
+    near, far = draw(near_points(n)), draw(far_points)
+    return n, Segment(near, far) if draw(st.booleans()) else Segment(far, near)
+
+
+@given(grazing_segments() | near_and_far_segments()
+       | board_and_segment().map(lambda cs: (cs[0].n, cs[1])))
+def test_walk_matches_the_exact_rational_walk(case):
+    n, s = case
+    got, want = _walked_pieces(s, n), _exact_pieces(s, n)
+    for cell in got.keys() | want.keys():
+        assert abs(got.get(cell, 0.0) - want.get(cell, 0.0)) <= 1e-9 * n, cell

@@ -25,6 +25,7 @@ from needleboard.spectral import (
     certified_lower_bound,
     chi_q_hat,
     f_hat,
+    interval_profile,
     line_energy,
     phi,
     slice_residual,
@@ -134,22 +135,92 @@ def test_slice_residual_is_tiny_for_generic_and_axis_directions():
     for n, seed in ((2, 0), (4, 6), (5, 2)):
         c = make_random(n, seed)
         for theta in (0.0, math.pi / 2, 0.3, 0.9, 1.4):
-            assert slice_residual(c, Direction(theta), grid) <= 1e-9
+            assert slice_residual(c, interval_profile(c, Direction(theta)), grid) <= 1e-9
 
 
 def test_slice_residual_empty_grid():
-    assert slice_residual(make_parity(2), Direction(0.5), []) == 0.0
+    c = make_parity(2)
+    assert slice_residual(c, interval_profile(c, Direction(0.5)), []) == 0.0
+
+
+def test_slice_residual_rejects_a_nonfinite_frequency():
+    c = make_random(3, 1)
+    profile = interval_profile(c, Direction(0.7))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"frequency {bad} is not finite"):
+            slice_residual(c, profile, [0.25, bad, 1.0])
+
+
+def _reference_transform(a, b, va, vb, xis):
+    # One pass over the whole (frequency x interval) grid, every xi
+    # evaluated on its own: the transform before the conjugate fold and
+    # the blocking.
+    mid = ((a + b) / 2)[None, :]
+    h = ((b - a) / 2)[None, :]
+    vbar = ((va + vb) / 2)[None, :]
+    slope = ((vb - va) / (b - a))[None, :]
+    om = 2.0 * math.pi * xis[:, None]
+    x = om * h
+    even = vbar * 2.0 * h * np.sinc(2.0 * xis[:, None] * h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exact = (np.sin(x) - x * np.cos(x)) / (om * om)
+    series = om * h**3 * (1.0 / 3.0 - x * x / 30.0 + x**4 / 840.0)
+    odd = -2j * np.where(np.abs(x) < 1e-3, series, exact)
+    return np.sum(np.exp(-1j * om * mid) * (even + slope * odd), axis=1)
+
+
+@st.composite
+def transform_cases(draw):
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        c = Coloring(n, rng.normal(size=(n, n)))
+    else:
+        c = Coloring(n, rng.choice([-1.0, 1.0], size=(n, n)))
+    theta = draw(st.sampled_from([0.0, math.pi / 2]) | st.floats(0.01, 3.13))
+    step = draw(st.sampled_from([0.25, 0.1, 1.0 / 3.0, 0.7]))
+    k = draw(st.integers(1, 40))
+    half = step * np.arange(1, k + 1)
+    shape = draw(st.sampled_from(["symmetric", "positive", "negative", "repeated"]))
+    if shape == "symmetric":
+        grid = np.concatenate([-half[::-1], [0.0], half])
+    elif shape == "positive":
+        grid = half
+    elif shape == "negative":
+        grid = -half
+    else:
+        grid = np.concatenate([half, -half, half[::2], [0.0, -0.0, 0.0]])
+        rng.shuffle(grid)
+    block = draw(st.integers(1, 4 * n * (n + 2)))
+    return c, Direction(theta), grid, block
+
+
+@given(transform_cases())
+def test_folded_blocked_transform_equals_one_pass(case):
+    # The fold to distinct |xi| and the row blocks change no bit of the
+    # transform: the slice residual of every report depends on it.
+    c, d, grid, block = case
+    p = interval_profile(c, d)
+    saved = spectral._BLOCK
+    spectral._BLOCK = block
+    try:
+        got = spectral._profile_transform(p, grid)
+    finally:
+        spectral._BLOCK = saved
+    want = _reference_transform(p.a, p.b, p.va, p.vb, grid)
+    assert np.array_equal(got, want)
 
 
 def test_line_energy_unit_square_analytic():
     c = make_constant(1, +1)
     # axis profile is the indicator of [0,1]; diagonal profile is a tent of
     # height sqrt(2) over [0, sqrt(2)] whose squared integral is 2 sqrt(2)/3
-    assert line_energy(c, Direction(0.0)) == pytest.approx(1.0, abs=1e-12)
-    assert line_energy(c, Direction(math.pi / 2)) == pytest.approx(1.0, abs=1e-12)
-    assert line_energy(c, Direction(math.pi / 4)) == pytest.approx(
-        2.0 * math.sqrt(2.0) / 3.0, abs=1e-12
-    )
+    def energy(theta):
+        return line_energy(interval_profile(c, Direction(theta)))
+
+    assert energy(0.0) == pytest.approx(1.0, abs=1e-12)
+    assert energy(math.pi / 2) == pytest.approx(1.0, abs=1e-12)
+    assert energy(math.pi / 4) == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, abs=1e-12)
 
 
 def test_line_energy_axis_steps_use_interior_values():
@@ -158,8 +229,9 @@ def test_line_energy_axis_steps_use_interior_values():
     # integrates to n^2 * n; the perpendicular direction cancels to zero
     n = 4
     c = make_stripes(n, "horizontal")
-    assert line_energy(c, Direction(math.pi / 2)) == pytest.approx(n**3, abs=1e-12)
-    assert line_energy(c, Direction(0.0)) == pytest.approx(0.0, abs=1e-12)
+    vertical = interval_profile(c, Direction(math.pi / 2))
+    assert line_energy(vertical) == pytest.approx(n**3, abs=1e-12)
+    assert line_energy(interval_profile(c, Direction(0.0))) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_line_energy_agrees_with_frequency_quadrature():
@@ -170,7 +242,7 @@ def test_line_energy_agrees_with_frequency_quadrature():
         c = make_random(n, seed)
         for theta in (0.0, math.pi / 2, 0.3, 1.2):
             d = Direction(theta)
-            le = line_energy(c, d)
+            le = line_energy(interval_profile(c, d))
             step = 1.0 / (16 * n)
             m = int(round(128.0 / step))
             ts = -64.0 + (np.arange(m) + 0.5) * step
