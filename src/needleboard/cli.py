@@ -78,6 +78,20 @@ def _segment_arg(text: str) -> Segment:
     return Segment((ax, ay), (bx, by))
 
 
+def _glue_seg_values(argv: list[str]) -> list[str]:
+    # argparse reads a token that starts with "-" and is not a plain number
+    # as an option, so "--seg -1,0.5,3,0.5" would lose its value.  Pass such
+    # a token as "--seg=-1,0.5,3,0.5", which parses the same; a token that
+    # starts with "--" is still read as the next option.
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--seg" and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"--seg={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def _thread_count(text: str) -> int:
     try:
         value = int(text)
@@ -495,7 +509,9 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(
+            _glue_seg_values(sys.argv[1:] if argv is None else list(argv))
+        )
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.threads is None:

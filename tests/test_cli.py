@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 
 import needleboard
 from needleboard import brute_force, make_parity, make_random, read_text, spectral, write_text
+from needleboard import cli
 from needleboard.cli import main
 
 
@@ -203,6 +205,29 @@ def test_bad_segment_names_token(capsys):
         assert token in err
 
 
+@pytest.mark.parametrize("head", [
+    ["integrate", "--board", "BOARD"],
+    ["tail", "--n", "4", "--trials", "200"],
+])
+def test_seg_value_with_a_leading_minus(head, tmp_path, capsys):
+    # "--seg -1,..." reads as "--seg=-1,...", byte for byte; a malformed or
+    # non-finite segment written either way exits 1 naming it.
+    board = _board_file(tmp_path, make_random(4, 2))
+    head = [board if a == "BOARD" else a for a in head]
+    assert main(head + ["--seg", "-1,0.5,3,0.5"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(head + ["--seg=-1,0.5,3,0.5"]) == 0
+    assert capsys.readouterr().out == spaced
+    for token in ("-1,0.5", "-inf,0,1,1", "-1,nan,3,0.5", "-x"):
+        assert main(head + ["--seg", token]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert token in captured.err
+    # a following option is still an option, not the segment
+    assert main(head + ["--seg", "--out", "x.json"]) == 1
+    assert "expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, env, named", [
     (["verify-upper", "--ns", "1,2", "--trials", "1"], None, "n=1"),
     (["verify-upper", "--ns", "4", "--trials", "0"], None, "trials"),
@@ -313,3 +338,20 @@ def test_reports_byte_identical_across_runs_and_threads(tmp_path):
         for run in (first, again, wide, via_env):
             assert run.returncode == 0, run.stderr.decode()
         assert first.stdout == again.stdout == wide.stdout == via_env.stdout
+
+
+def test_report_matrix_calls_parse_and_cover_every_subcommand():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scripts", "report_matrix.py")
+    spec = importlib.util.spec_from_file_location("report_matrix", path)
+    matrix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(matrix)
+    calls = matrix.calls()
+    names = [name for name, _ in calls]
+    assert len(set(names)) == len(names)
+    parser = cli._build_parser()
+    seen = {parser.parse_args(cli._glue_seg_values(argv)).subcommand for _, argv in calls}
+    assert seen == {
+        "generate", "integrate", "project", "search", "certify", "spectrum", "tail",
+        "verify-lower", "verify-upper", "perturb",
+    }

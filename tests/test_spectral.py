@@ -32,6 +32,8 @@ from needleboard.spectral import (
     tail_energy,
     _disk_energy_grid,
     _f_hat_points,
+    _phase_table,
+    _row_kernel,
 )
 from needleboard import spectral
 
@@ -433,7 +435,7 @@ def quadrature_cases(draw):
         st.sampled_from([0.5, 1.0, 2.0, 5.5, 16.0, 32.0]),
         st.floats(0.3, 40.0),
     ))
-    grid = draw(st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]))
+    grid = draw(st.sampled_from([32, 64, 128, 256, 512, 1024, 2048, 4096]))
     return Coloring(n, values.reshape(n, n)), a, grid
 
 
@@ -443,6 +445,50 @@ def test_lag_domain_quadrature_matches_the_tensor_grid(case):
     c, a, grid = case
     got = _disk_energy_grid(c, a, grid)
     assert abs(got - _tensor_grid_energy(c, a, grid)) <= 1e-12 * sum_squares(c)
+
+
+def test_lag_domain_quadrature_at_the_benchmark_grid():
+    # G = 8192, the grid of the benchmark's n = 64 boards, on a board small
+    # enough for the tensor-grid oracle.
+    c = make_random(4, 3)
+    got = _disk_energy_grid(c, 16.0, 8192)
+    assert abs(got - _tensor_grid_energy(c, 16.0, 8192)) <= 1e-12 * sum_squares(c)
+
+
+@given(
+    st.integers(1, 64),
+    st.floats(0.3, 40.0),
+    st.sampled_from([32, 64, 128, 256, 512, 1024, 2048, 4096, 8192]),
+)
+def test_split_phase_table_matches_the_direct_exponential(n, a, grid):
+    h = 2.0 * a / grid
+    xi = -a + (np.arange(grid) + 0.5) * h
+    got = _phase_table(n, xi, h)
+    want = np.exp(2j * math.pi * np.outer(np.arange(n), xi))
+    eps = np.finfo(np.float64).eps
+    assert got.shape == (n, grid)
+    assert np.max(np.abs(got - want)) <= 8.0 * 2.0 * math.pi * max(n - 1, 1) * a * eps
+
+
+def _row_kernel_concatenated(w, a, b):
+    # _row_kernel as first written: each running sum built by cumsum, then
+    # copied behind a zero column by np.concatenate.
+    half = w.shape[1] // 2
+    zero = np.zeros((w.shape[0], 1))
+    below = np.concatenate([zero, np.cumsum(w[:, half - 1 :: -1], axis=1)], axis=1)
+    above = np.concatenate([zero, np.cumsum(w[:, half:], axis=1)], axis=1)
+    return w[:, :half] @ (np.take(below, a, axis=1) + np.take(above, b, axis=1)).T
+
+
+@pytest.mark.parametrize("n, a_radius, grid", [
+    (1, 0.5, 32), (3, 2.0, 64), (7, 5.5, 256), (16, 4.0, 512), (33, 16.0, 4096),
+])
+def test_row_kernel_equals_the_concatenated_running_sums(n, a_radius, grid):
+    h = 2.0 * a_radius / grid
+    xi = -a_radius + (np.arange(grid) + 0.5) * h
+    a, b = spectral._disk_rows(xi, a_radius * a_radius)
+    w = np.random.default_rng(n).standard_normal((n, grid))
+    assert np.array_equal(_row_kernel(w, a, b), _row_kernel_concatenated(w, a, b))
 
 
 def test_lag_domain_quadrature_sums_asymmetric_rows(monkeypatch):
