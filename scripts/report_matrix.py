@@ -58,6 +58,10 @@ def calls() -> list[tuple[str, list[str]]]:
                     "--seed", "5"]),
         ("tail-csv-8", ["tail", "--n", "8", "--seg", "0,0.5,8,7.5", "--trials", "500",
                         "--seed", "6", "--lambdas", "0.5,1,2", "--format", "csv"]),
+        ("integrate-abbrev-minus-8", ["integrate", "--board", boards[8],
+                                      "--se", "-1,0.3,9,7.7"]),
+        ("tail-lambdas-minus-8", ["tail", "--n", "8", "--seg", "0,0.5,8,7.5", "--trials",
+                                  "500", "--seed", "6", "--lambdas", "-0.5,1"]),
         ("verify-lower", ["verify-lower", "--ns", "4,8"]),
         ("verify-lower-csv", ["verify-lower", "--ns", "4", "--format", "csv"]),
         ("verify-upper", ["verify-upper", "--ns", "4,8", "--trials", "2", "--seed", "7"]),

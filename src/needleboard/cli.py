@@ -78,15 +78,18 @@ def _segment_arg(text: str) -> Segment:
     return Segment((ax, ay), (bx, by))
 
 
-def _glue_seg_values(argv: list[str]) -> list[str]:
+def _glue_option_values(argv: list[str]) -> list[str]:
     # argparse reads a token that starts with "-" and is not a plain number
-    # as an option, so "--seg -1,0.5,3,0.5" would lose its value.  Pass such
-    # a token as "--seg=-1,0.5,3,0.5", which parses the same; a token that
-    # starts with "--" is still read as the next option.
+    # as an option, so "--seg -1,0.5,3,0.5" or "--lambdas -0.5,1" would lose
+    # its value.  Every option but -h is long, so a token with one leading
+    # "-" after "--option" is passed as "--option=-1,...", which parses the
+    # same; a token that starts with "--" is still read as the next option.
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] == "--seg" and tok.startswith("-") and not tok.startswith("--"):
-            out[-1] = f"--seg={tok}"
+        prev = out[-1] if out else ""
+        if (prev.startswith("--") and "=" not in prev
+                and tok.startswith("-") and not tok.startswith("--") and tok != "-h"):
+            out[-1] = f"{prev}={tok}"
         else:
             out.append(tok)
     return out
@@ -510,7 +513,7 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(
-            _glue_seg_values(sys.argv[1:] if argv is None else list(argv))
+            _glue_option_values(sys.argv[1:] if argv is None else list(argv))
         )
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -1,11 +1,11 @@
 """Exact geometry of segments against the unit grid.
 
 Decomposes a segment into per-cell pieces by parametric grid walking and
-integrates cell values along it.  clip_line is the package's floating-point
-board clip, used by radon.chord_segment; cell_crossings clips in exact
-rationals whenever an endpoint lies off the board.  Boundary ownership is
-half-open: a piece lying exactly on gridline x = i belongs to column i
-(same for rows), and pieces on x = n or y = n belong to no cell.
+integrates cell values along it.  clip_line is the package's one board
+clip: in floats for radon.chord_segment, and in exact rationals for
+cell_crossings whenever an endpoint lies off the board.  Boundary
+ownership is half-open: a piece lying exactly on gridline x = i belongs to
+column i (same for rows), and pieces on x = n or y = n belong to no cell.
 """
 
 from __future__ import annotations
@@ -74,15 +74,16 @@ def clip_line(px: float, py: float, dx: float, dy: float, n: int,
     """Liang-Barsky clip: the part [r0, r1] of [lo, hi] where the point
     (px, py) + r (dx, dy) lies in [0, n]^2, or None when it is empty.
 
-    r is measured from the anchor (px, py), so the clip is as precise as
-    the anchor is near the board.  A single point comes back as (r, r).
+    r is measured from the anchor (px, py), so in floats the clip is as
+    precise as the anchor is near the board; given Fractions it is exact.
+    A single point comes back as (r, r).
     """
     for p0, d in ((px, dx), (py, dy)):
-        if d == 0.0:
-            if not 0.0 <= p0 <= n:
+        if d == 0:
+            if not 0 <= p0 <= n:
                 return None
         else:
-            r0, r1 = (0.0 - p0) / d, (n - p0) / d
+            r0, r1 = (0 - p0) / d, (n - p0) / d
             lo, hi = max(lo, min(r0, r1)), min(hi, max(r0, r1))
     return (lo, hi) if lo <= hi else None
 
@@ -105,7 +106,7 @@ def _entry_index(w, d: float, n: int):
 
 
 def _exact_clip(p: tuple[float, float], q: tuple[float, float], n: int):
-    # Liang-Barsky in exact rationals for the segment p -> q: the start
+    # clip_line in exact rationals for the segment p -> q: the start
     # parameter, the exact start point, and the coordinates x0, y0, x1, y1
     # of both clipped ends, each as its nearest float plus the rounding
     # error; None when the clipped part is empty or a single point.
@@ -116,15 +117,10 @@ def _exact_clip(p: tuple[float, float], q: tuple[float, float], n: int):
 
     px, py = Fraction(p[0]), Fraction(p[1])
     dx, dy = Fraction(q[0]) - px, Fraction(q[1]) - py
-    lo, hi = Fraction(0), Fraction(1)
-    for w, d in ((px, dx), (py, dy)):
-        if d:
-            r0, r1 = -w / d, (n - w) / d
-            lo, hi = max(lo, min(r0, r1)), min(hi, max(r0, r1))
-        elif not 0 <= w <= n:
-            return None
-    if lo >= hi:
+    clip = clip_line(px, py, dx, dy, n, Fraction(0), Fraction(1))
+    if clip is None or clip[0] == clip[1]:
         return None
+    lo, hi = clip
     ends = (px + lo * dx, py + lo * dy, px + hi * dx, py + hi * dy)
     return lo, ends[:2], [(float(w), float(w - Fraction(float(w)))) for w in ends]
 

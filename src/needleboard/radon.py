@@ -6,12 +6,12 @@ offset profile of the board's line integrals is piecewise linear with
 breakpoints exactly at lattice-point projections p.u, so per-direction
 maximization reduces to scanning breakpoints.
 
-Two kernels evaluate a direction at many offsets at once and return the same
-OffsetScan: per offset the chord integral and the largest and smallest
-prefix integrals along the chord, with the positions where those prefixes
-end.  OffsetScan holds the one tie rule (smaller offset, then the first
-crossing along uperp; values within tie_tolerance of a maximum tie with it)
-and the one witness construction.
+Three scans give per offset the chord integral and the largest and
+smallest prefix integrals along the chord; lattice_scan and offset_scan add
+the witness of the one line best_segment picks, in an OffsetScan.  That
+holds the one tie rule (smaller offset, then the first crossing along
+uperp; values within tie_tolerance of a maximum tie with it) and the one
+witness construction.
 
 - One kernel core, _lattice_core, serves every lattice direction: it
   evaluates every breakpoint chord of a primitive lattice direction from
@@ -31,7 +31,8 @@ and the one witness construction.
   two axis directions (theta = 0, pi/2) of offset_scan.
 - offset_scan serves arbitrary angles (project, max_chord_in_direction,
   max_segment_in_direction) at the direction's breakpoint offsets.
-  Off-axis it sorts the gridline crossings of a block of chords at a time;
+  Off-axis it sorts the gridline crossings of a block of chords at a time,
+  then rebuilds the crossings of the winning line alone for its witness;
   on the axes it returns lattice_scan.
 
 _walk_direction is the scalar oracle: it walks cell_crossings chord by chord
@@ -178,14 +179,14 @@ def _first_maxima(values: np.ndarray, tie: float) -> np.ndarray:
 
 
 class OffsetScan(NamedTuple):
-    """Kernel output for one direction: per-offset arrays over `offsets`.
+    """Kernel output for one direction: per-offset arrays and one witness.
 
     The chord at offset t is {t*u + s*uperp}; positions s are arclengths
-    along uperp from t*u.  `top` and `bottom` are the largest and smallest
-    prefix integrals along the chord (the empty prefix, 0, included) and
-    `s_top` / `s_bottom` the positions where the first prefix within `tie`
-    of them ends.  lattice_scan, and so offset_scan on the axes, fills the
-    positions only on the line best_segment picks; they are NaN elsewhere.
+    along uperp from t*u.  Per offset, `chord` is the chord integral and
+    `top` and `bottom` the largest and smallest prefix integrals along the
+    chord (the empty prefix, 0, included).  `s_top` and `s_bottom` belong
+    to the one line best_segment picks: the positions where its first
+    prefix within `tie` of its top, and of its bottom, ends.
     """
 
     direction: Direction
@@ -194,8 +195,8 @@ class OffsetScan(NamedTuple):
     chord: np.ndarray
     top: np.ndarray
     bottom: np.ndarray
-    s_top: np.ndarray
-    s_bottom: np.ndarray
+    s_top: float
+    s_bottom: float
 
     def best_chord(self) -> tuple[float, float]:
         """(t*, v*) maximizing |chord integral|; ties go to the smaller offset."""
@@ -212,7 +213,7 @@ class OffsetScan(NamedTuple):
         i = _first_max(r, self.tie)
         t = float(self.offsets[i])
         ux, uy = self.direction.u
-        s0, s1 = sorted((float(self.s_bottom[i]), float(self.s_top[i])))
+        s0, s1 = sorted((self.s_bottom, self.s_top))
         a = (t * ux - s0 * uy + 0.0, t * uy + s0 * ux + 0.0)  # + 0.0: no -0.0 in reports
         b = (t * ux - s1 * uy + 0.0, t * uy + s1 * ux + 0.0)
         return Segment(a, b), float(r[i])
@@ -233,16 +234,23 @@ def offset_scan(c: Coloring, direction: Direction) -> OffsetScan:
         return lattice_scan(c, 1, 0)
     ts = breakpoint_offsets(c.n, direction)
     tie = tie_tolerance(c)
-    out = np.empty((5, ts.size))
+    out = np.empty((3, ts.size))
     for lo in range(0, ts.size, _BLOCK):
-        _oblique_block(c, direction, ts[lo:lo + _BLOCK], tie, out[:, lo:lo + _BLOCK])
-    return OffsetScan(direction, tie, ts, *out)
+        prefix = _oblique_block(c, direction, ts[lo:lo + _BLOCK])[1]
+        out[:, lo:lo + _BLOCK] = prefix[:, -1], prefix.max(axis=1), prefix.min(axis=1)
+    chord, top, bottom = out
+    # the witness: the line best_segment picks, rebuilt alone (a block
+    # works row by row, so these are the bits it had there)
+    i = _first_max(top - bottom, tie)
+    ev, prefix = _oblique_block(c, direction, ts[i:i + 1])
+    s_top = float(ev[0, np.argmax(prefix[0] >= top[i] - tie)])
+    s_bottom = float(ev[0, np.argmax(prefix[0] <= bottom[i] + tie)])
+    return OffsetScan(direction, tie, ts, chord, top, bottom, s_top, s_bottom)
 
 
-def _oblique_block(c: Coloring, direction: Direction, ts: np.ndarray, tie: float,
-                   out: np.ndarray) -> None:
-    # Rows of out, per offset: chord value, top/bottom prefix and the
-    # positions where the first prefix within tie of them ends.
+def _oblique_block(c: Coloring, direction: Direction, ts: np.ndarray):
+    # Per offset (row): the sorted crossing positions ev along its chord and
+    # the prefix integrals up to each of them.
     n = c.n
     ux, uy = direction.u  # uy > 0 and ux != 0 off-axis
     tx = ts[:, None] * ux
@@ -276,14 +284,7 @@ def _oblique_block(c: Coloring, direction: Direction, ts: np.ndarray, tie: float
     piece *= ev[:, 1:] - ev[:, :-1]
     prefix = np.zeros_like(ev)  # prefix[:, p] = integral from s_lo to ev[:, p]
     np.cumsum(piece, axis=1, out=prefix[:, 1:])
-    rows = np.arange(ts.size)
-    top = prefix.max(axis=1)
-    bottom = prefix.min(axis=1)
-    out[0] = prefix[:, -1]
-    out[1] = top
-    out[2] = bottom
-    out[3] = ev[rows, np.argmax(prefix >= (top - tie)[:, None], axis=1)]
-    out[4] = ev[rows, np.argmax(prefix <= (bottom + tie)[:, None], axis=1)]
+    return ev, prefix
 
 
 def project(c: Coloring, direction: Direction) -> Projection:
@@ -318,10 +319,8 @@ def lattice_scan(c: Coloring, dx: int, dy: int) -> OffsetScan:
     The chords run along v = +-(dx, dy), signed to point along uperp, and the
     breakpoint chords are the lattice lines m = x*dy - y*dx through a point
     of {0..n}^2, at offsets t = m / |v|.  The values come from _lattice_core
-    on the board alone; see there.
-
-    Positions come only on the line best_segment picks; s_top and s_bottom
-    are NaN on the others.
+    on the board alone; see there.  The witness positions are those of the
+    line best_segment picks.
     """
     if math.gcd(dx, dy) != 1:
         raise ValueError(f"lattice direction must be primitive, got ({dx}, {dy})")
@@ -334,13 +333,13 @@ def lattice_scan(c: Coloring, dx: int, dy: int) -> OffsetScan:
     pad, run, up, down = k.pad[0], k.run[0], k.up[0], k.down[0]
     top, bottom = k.top[0], k.bottom[0]
 
-    # the witness of the line best_segment picks (the others keep NaN), in
-    # steps along it: the board entry when the empty prefix ties, else the
-    # end of the first piece that does (the bottom searched as -prefix)
+    # the witness of the line best_segment picks, in steps along it: the
+    # board entry when the empty prefix ties, else the end of the first
+    # piece that does (the bottom searched as -prefix)
     tie = tie_tolerance(c)
     i = _first_max(top - bottom, tie)
     mi = int(m[i])
-    pos = np.full((2, m.size), np.nan)
+    pos = []
     sides = ((up[:, i], top[i] - tie), (-down[:, i], -bottom[i] - tie))
     for side, (vals, thr) in enumerate(sides):
         if thr <= 0.0:
@@ -354,7 +353,7 @@ def lattice_scan(c: Coloring, dx: int, dy: int) -> OffsetScan:
             sign = 1 - 2 * side
             prefix = sign * np.cumsum(pad[bx, by] * k.ell) + sign * run[at, i]
             k_end = ki + int(k.keys[int(np.argmax(prefix >= thr)) + 1]) / k.den
-        pos[side, i] = (mi * (wx * dx + wy * dy) + k_end * l2) / ln
+        pos.append((mi * (wx * dx + wy * dy) + k_end * l2) / ln)
     return OffsetScan(Direction.along(dx, dy), tie, m / ln, k.chord[0], top, bottom, *pos)
 
 

@@ -228,6 +228,28 @@ def test_seg_value_with_a_leading_minus(head, tmp_path, capsys):
     assert "expected one argument" in capsys.readouterr().err
 
 
+def test_leading_minus_value_after_any_long_option(tmp_path, capsys):
+    # "--option -1,..." reads as "--option=-1,...", abbreviations included
+    board = _board_file(tmp_path, make_random(4, 2))
+    tail = ["tail", "--n", "4", "--seg", "0,0.5,4,0.5", "--trials", "200"]
+    for spaced, glued in [
+        (["integrate", "--board", board, "--se", "-1,0.5,3,0.5"],
+         ["integrate", "--board", board, "--seg=-1,0.5,3,0.5"]),
+        (tail + ["--lambdas", "-0.5,1"], tail + ["--lambdas=-0.5,1"]),
+    ]:
+        assert main(spaced) == 0
+        out = capsys.readouterr().out
+        assert main(glued) == 0
+        assert capsys.readouterr().out == out
+    assert main(["verify-upper", "--ns", "-4,8"]) == 1
+    assert "n=-4" in capsys.readouterr().err
+    assert main(["tail", "--n", "4", "--se", "-1,0.5,3,0.5"]) == 1
+    assert "could match --seg, --seed" in capsys.readouterr().err
+    # a flag given such a value still fails
+    assert main(["search", "--board", board, "--oracle", "-1"]) == 1
+    assert "--oracle" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, env, named", [
     (["verify-upper", "--ns", "1,2", "--trials", "1"], None, "n=1"),
     (["verify-upper", "--ns", "4", "--trials", "0"], None, "trials"),
@@ -350,7 +372,7 @@ def test_report_matrix_calls_parse_and_cover_every_subcommand():
     names = [name for name, _ in calls]
     assert len(set(names)) == len(names)
     parser = cli._build_parser()
-    seen = {parser.parse_args(cli._glue_seg_values(argv)).subcommand for _, argv in calls}
+    seen = {parser.parse_args(cli._glue_option_values(argv)).subcommand for _, argv in calls}
     assert seen == {
         "generate", "integrate", "project", "search", "certify", "spectrum", "tail",
         "verify-lower", "verify-upper", "perturb",

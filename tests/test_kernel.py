@@ -6,9 +6,10 @@ generic angles stay 1e-3 away from the axes: near an axis the profile's
 slope grows like 1/sin, so both paths agree only to the conditioning of the
 offset itself.  Those boards have at most 169 breakpoints, one block of
 offset_scan, so fixed boards at n = 24 and 32 (625 and 1,089 breakpoints)
-check it across blocks.  lattice_scan is checked at every primitive lattice
-direction, axes included, values and witnesses both, and orbit_scan, the
-search's batched call of the same kernel, against lattice_scan bit for bit.
+check it across blocks and at several block sizes.  lattice_scan is checked
+at every primitive lattice direction, axes included, values and witnesses
+both, and orbit_scan, the search's batched call of the same kernel, against
+lattice_scan bit for bit.
 """
 
 import math
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from needleboard import radon
 from needleboard.board import Coloring, make_random
 from needleboard.geom import integrate
 from needleboard.radon import (
@@ -135,6 +137,24 @@ def test_direction_maxima_across_blocks_equal_the_scalar_oracle(n, real, theta):
     assert abs(vs - vs_walk) <= tol
     assert abs(abs(integrate(c, chord_segment(c.n, Chord(d, t)))) - vc) <= tol
     assert abs(abs(integrate(c, seg)) - vs) <= tol
+
+
+@pytest.mark.parametrize("theta", _MULTI_BLOCK_ANGLES)
+@pytest.mark.parametrize("n, real", [(24, False), (24, True), (32, False), (32, True)])
+def test_offset_scan_does_not_depend_on_the_block_size(n, real, theta, monkeypatch):
+    # offset_scan rebuilds the winning line alone for its witness, so no
+    # row may depend on the block it is computed in
+    c, d = _multi_block_board(n, real), Direction(theta)
+    scans = []
+    for block in (1, 7, 512):
+        monkeypatch.setattr(radon, "_BLOCK", block)
+        scans.append(offset_scan(c, d))
+    first = scans[0]
+    for scan in scans[1:]:
+        for name in ("chord", "top", "bottom"):
+            assert (getattr(scan, name) == getattr(first, name)).all()
+        assert scan.best_chord() == first.best_chord()
+        assert scan.best_segment() == first.best_segment()
 
 
 @st.composite
