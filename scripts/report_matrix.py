@@ -40,7 +40,9 @@ def calls() -> list[tuple[str, list[str]]]:
             out.append((f"integrate-{tag}-{n}", ["integrate", "--board", board, f"--seg={seg}"]))
         for tag, theta in THETAS:
             out.append((f"project-{tag}-{n}", ["project", "--board", board, "--theta", theta]))
-            for a in ("4", "16"):
+            # A = 4 and 16 put every quadrature sample on a binary fraction;
+            # at 3.3 the samples round, and some lie near the disk's circle.
+            for a in ("4", "16", "3.3"):
                 out.append((f"spectrum-a{a}-{tag}-{n}",
                             ["spectrum", "--board", board, "--a", a, "--theta", theta]))
         out.append((f"spectrum-default-{n}", ["spectrum", "--board", board]))

@@ -135,7 +135,9 @@ def _int_list_arg(text: str) -> tuple[int, ...]:
 
 
 def _read_board(path: str) -> Coloring:
-    with open(path, "r", encoding="ascii", newline="") as fh:
+    # Undecodable bytes become lone surrogates, so read_text names every
+    # character outside the format by line and column, raw bytes included.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         return read_text(fh)
 
 
@@ -293,10 +295,12 @@ def _cmd_search(args) -> int:
         rep = brute_force(c)
     else:
         rep = scan_report(c, angles=args.angles)
-    _emit_json(args, _report_dict(rep))
+    # The SVG goes first: a path that cannot be written exits 1 before any
+    # report reaches stdout or --out.
     if args.svg:
         with open(args.svg, "w", encoding="ascii", newline="") as fh:
             fh.write(_svg_board(c, rep.best_segment[0]))
+    _emit_json(args, _report_dict(rep))
     return 0
 
 

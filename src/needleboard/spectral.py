@@ -24,32 +24,33 @@ and the tail is at most (1 - inf m_in) * total, with no truncation.
 tests/test_spectral.py proves inf m_in > 0.5788 in interval arithmetic; on a
 fine grid the infimum is 4 (4/pi^2)^2 = 64/pi^4 ~ 0.6570, at eta = (1/2, 1/2).
 
-The quadrature in tail_energy sums a midpoint grid xi_k = -A + (k + 1/2) h,
-h = 2A/G, over the open disk, sampling the lower half of the first axis and
-doubling.  |F|^2 = sinc^2(xi1) sinc^2(xi2) |phi|^2, and by Wiener-Khinchin
-|phi(xi)|^2 = sum_d R(d) cos(2 pi d.xi), where R(d) = sum_q z_(q+d) z_q is the
-board's autocorrelation on |d1|, |d2| < n (one zero-padded FFT).  Expanding
-cos(2 pi d.xi) = cos cos - sin sin and folding R(-d) = R(d) onto d1, d2 >= 0
-leaves two lag-by-lag kernels.  Each grid row keeps the second-axis samples
-of one index interval, so that row's sums of sinc^2 cos(2 pi d2 xi2) and
-sinc^2 sin(2 pi d2 xi2) over it come from running sums along the half axes,
-accumulated from the centre outward; one (n x G/2)(G/2 x n) product per
-kernel then sums the rows.  A grid costs O(n^2 log n + G n^2), against
-O(G^2 n) for forming phi at every sample, and no G x G array is built.  The
-sine sums vanish on a symmetric interval of exactly mirrored samples; they
-are kept so that the sample set is the disk predicate's, whatever the
-rounding of the sample points.
+The quadrature in tail_energy sums a midpoint grid of spacing h = 2A/G over
+the open disk.  Its samples are built on the positive half axis only,
+xi_k = (k + 1/2) h for k < G/2, and the full axis is -xi[::-1], xi, an
+exact mirror by construction.  |F|^2 = sinc^2(xi1) sinc^2(xi2) |phi|^2, and
+by Wiener-Khinchin |phi(xi)|^2 = sum_d R(d) cos(2 pi d.xi), where
+R(d) = sum_q z_(q+d) z_q is the board's autocorrelation on |d1|, |d2| < n
+(one zero-padded FFT).  The integrand and the disk are even in each axis,
+so the disk sum is 4 times the sum over one quadrant, where the four mirror
+images of a sample turn cos(2 pi d.xi) into 4 cos(2 pi d1 xi1)
+cos(2 pi d2 xi2); folding R(-d) = R(d) onto d1, d2 >= 0 leaves one
+lag-by-lag kernel.  Each quadrant row keeps the first samples of the half
+axis, up to the circle, so that row's sums of sinc^2 cos(2 pi d2 xi2) come
+from one running sum along the half axis; one (n x G/2)(G/2 x n) product
+then sums the rows.  A grid costs O(n^2 log n + G n^2), against O(G^2 n)
+for forming phi at every sample, and no G x G array is built.
 
-The cosine and sine tables are the real and imaginary parts of one phase
-table e^(2 pi i d xi_k), d < n, built by split angle addition: with
-k = B q + r and B = gcd(G, 64), it is a coarse table at the samples xi_(Bq)
-times a fine one at the offsets r h.  n (G/B + B) exponentials and n G
-complex products replace n G cosines and n G sines.  The table stays within
-3.2 * 2 pi max(n-1, 1) A eps of a direct np.exp (the largest seen for
-n <= 128, A in [0.3, 40] and G from 32 to 2^15), the order of the rounding
-already in 2 pi d xi_k.  Against direct tables, disk energies move only in
-their last digits: at most 2.2e-15 of the total on random and parity
-boards up to n = 64.
+The cosine table is the real part of one phase table e^(2 pi i d xi_k),
+d < n, on the half axis, built by split angle addition: with k = B q + r
+and B = gcd(G/2, 64), it is a coarse table at the samples xi_(Bq) times a
+fine one at the offsets r h.  n (G/(2B) + B) exponentials and n G/2 complex
+products replace n G/2 cosines; a direct np.cos table was slower (4.9 ms
+against 1.0 ms at n = 64, G = 8192, on a 2-core x86 host).  The table
+stays within 2 * 2 pi max(n-1, 1) A eps of a direct np.exp (1.97 the
+largest factor seen over 300 random draws of n <= 128, A in [0.3, 40] and
+G from 32 to 2^15), the order of the rounding already in 2 pi d xi_k.
+Against direct tables, disk energies move only in their last digits: at
+most 2.6e-15 of the total on random and parity boards up to n = 64.
 
 The slice check works from one projection per direction: interval_profile
 runs project once, and line_energy and slice_residual both read the
@@ -219,53 +220,43 @@ def _pow2_at_least(x: float) -> int:
     return g
 
 
-def _disk_rows(xi: np.ndarray, r2: float) -> tuple[np.ndarray, np.ndarray]:
-    # Row k1 < G/2 keeps the second-axis samples with xi1^2 + xi2^2 < r2,
-    # the predicate evaluated as written.  Along each half axis, from the
-    # centre outward, xi2^2 never decreases, so they form one index
-    # interval: return how many lie below the centre and how many above.
-    # searchsorted on the rounded threshold places each boundary; the
-    # fix-up steps across the rounding until the predicate holds at the
-    # last counted sample and fails at the first uncounted one.
-    half = xi.size // 2
+def _disk_rows(xi: np.ndarray, r2: float) -> np.ndarray:
+    # Row k1 keeps the half-axis samples with xi1^2 + xi2^2 < r2, the
+    # predicate evaluated as written.  xi2^2 never decreases along the half
+    # axis, so they are its first b_k1 samples: return b.  searchsorted on
+    # the rounded threshold places each row's boundary; the fix-up steps
+    # across the rounding until the predicate holds at the last counted
+    # sample and fails at the first uncounted one.
     sq = xi**2
-    x1sq = sq[:half]
-    counts = []
-    for q in (sq[half - 1 :: -1], sq[half:]):
-        m = np.searchsorted(q, r2 - x1sq)
-        while True:
-            down = (m > 0) & ~(x1sq + q[np.maximum(m - 1, 0)] < r2)
-            up = ~down & (m < half) & (x1sq + q[np.minimum(m, half - 1)] < r2)
-            if not (down.any() or up.any()):
-                break
-            m = m - down + up
-        counts.append(m)
-    return counts[0], counts[1]
+    last = sq.size - 1
+    b = np.searchsorted(sq, r2 - sq)
+    while True:
+        down = (b > 0) & ~(sq + sq[np.maximum(b - 1, 0)] < r2)
+        up = ~down & (b <= last) & (sq + sq[np.minimum(b, last)] < r2)
+        if not (down.any() or up.any()):
+            return b
+        b = b - down + up
 
 
-def _row_kernel(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # K[d1, d2] = sum over rows k1 < G/2 of w[d1, k1] times the sum of
-    # w[d2, k2] over the row's interval: a_k1 samples below the centre and
-    # b_k1 above it, read off running sums from the centre outward.  Each
+def _row_kernel(w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # K[d1, d2] = sum over rows k1 of w[d1, k1] times the sum of w[d2, k2]
+    # over the row's first b_k1 samples, read off one running sum.  The
     # running sum goes straight into columns 1.. of an array whose column 0
     # is the empty sum.
-    half = w.shape[1] // 2
-    below = np.zeros((w.shape[0], half + 1))
-    above = np.zeros((w.shape[0], half + 1))
-    np.cumsum(w[:, half - 1 :: -1], axis=1, out=below[:, 1:])
-    np.cumsum(w[:, half:], axis=1, out=above[:, 1:])
-    return w[:, :half] @ (np.take(below, a, axis=1) + np.take(above, b, axis=1)).T
+    run = np.zeros((w.shape[0], w.shape[1] + 1))
+    np.cumsum(w, axis=1, out=run[:, 1:])
+    return w @ np.take(run, b, axis=1).T
 
 
 def _phase_table(n: int, xi: np.ndarray, h: float) -> np.ndarray:
     # e^(2 pi i d xi_k) for lags d < n on midpoint samples xi_k spaced h
-    # apart, by split angle addition: with k = B q + r and B = gcd(G, 64),
-    # xi_k = xi_(Bq) + r h, so row d is a coarse table e^(2 pi i d xi_(Bq))
-    # times a fine one e^(2 pi i d r h).  That is n (G/B + B) exponentials
-    # and n G complex products, not n G cosines and n G sines.  The result
-    # is within 3.2 * 2 pi max(n-1, 1) max|xi_k| eps of the direct table
-    # e^(2 pi i outer(d, xi)) (module docstring); tests/test_spectral.py
-    # bounds it by 8 times that.
+    # apart, by split angle addition: with k = B q + r and B = gcd(K, 64)
+    # for K samples, xi_k = xi_(Bq) + r h, so row d is a coarse table
+    # e^(2 pi i d xi_(Bq)) times a fine one e^(2 pi i d r h).  That is
+    # n (K/B + B) exponentials and n K complex products, not n K cosines
+    # and n K sines.  The result is within 2 * 2 pi max(n-1, 1) max|xi_k|
+    # eps of the direct table e^(2 pi i outer(d, xi)) (module docstring);
+    # tests/test_spectral.py bounds it by 8 * 2 pi max(n-1, 1) A eps.
     step = math.gcd(xi.size, _PHASE_STEP)
     d = np.arange(n)
     coarse = np.exp((2j * math.pi) * np.outer(d, xi[::step]))
@@ -274,34 +265,31 @@ def _phase_table(n: int, xi: np.ndarray, h: float) -> np.ndarray:
 
 
 def _disk_energy_grid(c: Coloring, a_radius: float, grid: int) -> float:
-    # Midpoint grid on [-A, A]^2 restricted to the open disk, with only the
-    # lower half of the first axis sampled and doubled (real weights), summed
-    # in the lag domain: |phi(xi)|^2 = sum_d R(d) cos(2 pi d.xi), module
-    # docstring.  Row k1 keeps the axis-2 samples of one index interval,
-    # a_k1 of them below the centre and b_k1 above it.
+    # Midpoint grid on [-A, A]^2 restricted to the open disk, summed in the
+    # lag domain: |phi(xi)|^2 = sum_d R(d) cos(2 pi d.xi), module docstring.
+    # Only the half axis xi_k = (k + 1/2) h, k < G/2, is sampled; the full
+    # axis is -xi[::-1], xi, an exact mirror, and the integrand is even in
+    # each axis, so the disk sum is 4 h^2 times the quadrant sum.  Row k1
+    # keeps the first b_k1 samples of the second half axis.
     n = c.n
     h = 2.0 * a_radius / grid
-    xi = -a_radius + (np.arange(grid) + 0.5) * h
-    s2 = np.sinc(xi) ** 2
-    a, b = _disk_rows(xi, a_radius * a_radius)
-    # Tables s2(xi_k) cos(2 pi d xi_k) and s2(xi_k) sin(2 pi d xi_k), d < n,
-    # from one phase table.
-    phase = _phase_table(n, xi, h)
-    k_cos = _row_kernel(s2 * phase.real, a, b)
-    k_sin = _row_kernel(s2 * phase.imag, a, b)
+    xi = (np.arange(grid // 2) + 0.5) * h
+    # Table sinc^2(xi_k) cos(2 pi d xi_k), d < n, from the phase table.
+    w = _phase_table(n, xi, h).real * np.sinc(xi) ** 2
+    kernel = _row_kernel(w, _disk_rows(xi, a_radius * a_radius))
     # Autocorrelation R(d) = sum_q z_(q+d) z_q on |d1|, |d2| < n, from one
     # zero-padded FFT; p = R(d1, d2) and m = R(-d1, d2) for d1, d2 >= 0.
-    # cos(2 pi d.xi) = cos cos - sin sin; over the sign variants of a lag
-    # (two per nonzero coordinate) R(-d) = R(d) folds the even term to
-    # (p + m)/2 and the odd one to (p - m)/2 per variant.
+    # Over a quadrant's four mirror images cos(2 pi d.xi) sums to
+    # 4 cos cos, which is even in each lag coordinate; R(-d) = R(d) then
+    # folds the sign variants of a lag (two per nonzero coordinate) to
+    # (p + m)/2 per variant.
     spec = np.fft.rfft2(c.cells, s=(2 * n, 2 * n))
     corr = np.fft.irfft2(spec.real**2 + spec.imag**2, s=(2 * n, 2 * n))
     p = corr[:n, :n]
     m = corr[(-np.arange(n)) % (2 * n), :n]
     mult = np.where(np.arange(n) > 0, 2.0, 1.0)
     weight = 0.5 * mult[:, None] * mult[None, :]
-    total = np.sum(weight * ((p + m) * k_cos - (p - m) * k_sin))
-    return 2.0 * float(total) * h * h
+    return 4.0 * float(np.sum(weight * (p + m) * kernel)) * h * h
 
 
 def tail_energy(c: Coloring, a_radius: float) -> EnergyReport:

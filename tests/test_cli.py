@@ -109,6 +109,19 @@ def test_search_renders_svg(tmp_path):
     assert text.count("<rect") == 4 * 4 + 2  # cells + backdrop + border
 
 
+def test_search_svg_failure_emits_no_report(tmp_path, capsys):
+    board = _board_file(tmp_path, make_parity(4))
+    out = tmp_path / "report.json"
+    svg = str(tmp_path / "missing" / "board.svg")
+    assert main(["search", "--board", board, "--angles", "64", "--svg", svg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "board.svg" in captured.err
+    assert main(["search", "--board", board, "--angles", "64", "--svg", svg,
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_project_csv_profile(tmp_path, capsys):
     board = _board_file(tmp_path, make_parity(4))
     rc = main(["project", "--board", board, "--theta", "0.3", "--format", "csv"])
@@ -311,6 +324,18 @@ def test_malformed_board_names_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "bad board file" in err and "line 4" in err
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("+\u00e9+".encode("utf-8"), "line 3: illegal character '\u00e9' at column 2"),
+    (b"\xff++", "line 3: illegal character '\\udcff' at column 1"),
+], ids=["utf-8", "raw-byte"])
+def test_non_ascii_board_byte_names_line_and_column(raw, message, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"needleboard v1\n3\n" + raw + b"\n+++\n+++\n")
+    rc = main(["integrate", "--board", str(path), "--seg", "0,0,1,1"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"needleboard: bad board file: {message}\n"
 
 
 def test_help_and_version_exit_zero(capsys):

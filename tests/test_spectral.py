@@ -462,22 +462,23 @@ def test_lag_domain_quadrature_at_the_benchmark_grid():
 )
 def test_split_phase_table_matches_the_direct_exponential(n, a, grid):
     h = 2.0 * a / grid
-    xi = -a + (np.arange(grid) + 0.5) * h
+    xi = (np.arange(grid // 2) + 0.5) * h
     got = _phase_table(n, xi, h)
     want = np.exp(2j * math.pi * np.outer(np.arange(n), xi))
     eps = np.finfo(np.float64).eps
-    assert got.shape == (n, grid)
+    assert got.shape == (n, grid // 2)
     assert np.max(np.abs(got - want)) <= 8.0 * 2.0 * math.pi * max(n - 1, 1) * a * eps
 
 
-def _row_kernel_concatenated(w, a, b):
-    # _row_kernel as first written: each running sum built by cumsum, then
-    # copied behind a zero column by np.concatenate.
-    half = w.shape[1] // 2
-    zero = np.zeros((w.shape[0], 1))
-    below = np.concatenate([zero, np.cumsum(w[:, half - 1 :: -1], axis=1)], axis=1)
-    above = np.concatenate([zero, np.cumsum(w[:, half:], axis=1)], axis=1)
-    return w[:, :half] @ (np.take(below, a, axis=1) + np.take(above, b, axis=1)).T
+def _row_kernel_per_row(w, b):
+    # _row_kernel as a plain loop over the rows: row k1's running sum, the
+    # sum of its first b_k1 samples, is formed on its own, the rows' sums
+    # are concatenated, and each row adds w[:, k1] times its sum.
+    sums = np.concatenate([w[:, :count].sum(axis=1, keepdims=True) for count in b], axis=1)
+    out = np.zeros((w.shape[0], w.shape[0]))
+    for k1 in range(b.size):
+        out += np.outer(w[:, k1], sums[:, k1])
+    return out
 
 
 @pytest.mark.parametrize("n, a_radius, grid", [
@@ -485,29 +486,16 @@ def _row_kernel_concatenated(w, a, b):
 ])
 def test_row_kernel_equals_the_concatenated_running_sums(n, a_radius, grid):
     h = 2.0 * a_radius / grid
-    xi = -a_radius + (np.arange(grid) + 0.5) * h
-    a, b = spectral._disk_rows(xi, a_radius * a_radius)
-    w = np.random.default_rng(n).standard_normal((n, grid))
-    assert np.array_equal(_row_kernel(w, a, b), _row_kernel_concatenated(w, a, b))
-
-
-def test_lag_domain_quadrature_sums_asymmetric_rows(monkeypatch):
-    # Rounded sample points need not mirror exactly, so a row's interval
-    # may hold one more sample on one side of the centre than the other;
-    # the sine sums carry that.  Force it: one extra sample above the
-    # centre on every odd row, one fewer below on every third row.
-    c, a, grid = make_random(7, seed=4), 3.3, 256
-    below, above = spectral._disk_rows(
-        -a + (np.arange(grid) + 0.5) * (2.0 * a / grid), a * a
-    )
-    rows = np.arange(grid // 2)
-    below = below - ((rows % 3 == 0) & (below > 0))
-    above = above + ((rows % 2 == 1) & (above < grid // 2))
-    monkeypatch.setattr(spectral, "_disk_rows", lambda xi, r2: (below, above))
-    got = _disk_energy_grid(c, a, grid)
-    want = _tensor_grid_energy(c, a, grid, (grid // 2 - below, grid // 2 + above))
-    assert abs(got - want) <= 1e-12 * sum_squares(c)
-    assert abs(got - _tensor_grid_energy(c, a, grid)) > 1e-6 * sum_squares(c)
+    xi = (np.arange(grid // 2) + 0.5) * h
+    b = spectral._disk_rows(xi, a_radius * a_radius)
+    w = np.random.default_rng(n).standard_normal((n, grid // 2))
+    # Both sum the same products in other orders: each of the two sums of at
+    # most G/2 terms rounds by at most G/2 eps times its sum of magnitudes.
+    scale = np.abs(w).sum(axis=1)
+    tol = 2 * w.shape[1] * np.finfo(np.float64).eps * np.outer(scale, scale)
+    got, want = _row_kernel(w, b), _row_kernel_per_row(w, b)
+    assert got.shape == (n, n)
+    assert np.all(np.abs(got - want) <= tol)
 
 
 def test_disk_rows_follow_the_predicate_as_rounded():
@@ -518,19 +506,15 @@ def test_disk_rows_follow_the_predicate_as_rounded():
     half = 4
     misplaced = 0
     for _ in range(300):
-        xi = np.concatenate([
-            np.sort(-rng.uniform(0.01, 1.0, half)),
-            np.sort(rng.uniform(0.01, 1.0, half)),
-        ])
+        xi = np.sort(rng.uniform(0.01, 1.0, half))
         sq = xi**2
-        r2 = sq[rng.integers(half)] + sq[half + rng.integers(half)]
+        r2 = sq[rng.integers(half)] + sq[rng.integers(half)]
         if rng.random() < 0.5:
             r2 = np.nextafter(r2, 2.0)
-        inside = sq[:half, None] + sq[None, :] < r2
-        below, above = spectral._disk_rows(xi, r2)
-        assert np.array_equal(below, inside[:, :half].sum(axis=1))
-        assert np.array_equal(above, inside[:, half:].sum(axis=1))
-        misplaced += np.any(np.searchsorted(sq[half:], r2 - sq[:half]) != above)
+        inside = sq[:, None] + sq[None, :] < r2
+        b = spectral._disk_rows(xi, r2)
+        assert np.array_equal(b, inside.sum(axis=1))
+        misplaced += np.any(np.searchsorted(sq, r2 - sq) != b)
     assert misplaced > 0
 
 
