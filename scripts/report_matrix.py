@@ -41,7 +41,8 @@ def calls() -> list[tuple[str, list[str]]]:
         for tag, theta in THETAS:
             out.append((f"project-{tag}-{n}", ["project", "--board", board, "--theta", theta]))
             # A = 4 and 16 put every quadrature sample on a binary fraction;
-            # at 3.3 the samples round, and some lie near the disk's circle.
+            # at 3.3 the samples round, though none comes within 2/G^2
+            # (relative) of the disk's circle on a G-sample axis.
             for a in ("4", "16", "3.3"):
                 out.append((f"spectrum-a{a}-{tag}-{n}",
                             ["spectrum", "--board", board, "--a", a, "--theta", theta]))
@@ -52,6 +53,8 @@ def calls() -> list[tuple[str, list[str]]]:
     out += [
         ("integrate-mc-8", ["integrate", "--board", boards[8], "--seg", "0.5,0,7.5,8",
                             "--mc", "1000"]),
+        ("spectrum-a1e-100-8", ["spectrum", "--board", boards[8], "--a", "1e-100"]),
+        ("spectrum-a500-8", ["spectrum", "--board", boards[8], "--a", "500"]),
         ("project-csv-8", ["project", "--board", boards[8], "--theta", "0.7",
                            "--format", "csv"]),
         ("search-oracle-8", ["search", "--board", boards[8], "--oracle",

@@ -296,11 +296,17 @@ def _cmd_search(args) -> int:
     else:
         rep = scan_report(c, angles=args.angles)
     # The SVG goes first: a path that cannot be written exits 1 before any
-    # report reaches stdout or --out.
+    # report reaches stdout or --out.  A report that cannot be written
+    # takes the SVG with it, so a failed run leaves neither file.
     if args.svg:
         with open(args.svg, "w", encoding="ascii", newline="") as fh:
             fh.write(_svg_board(c, rep.best_segment[0]))
-    _emit_json(args, _report_dict(rep))
+    try:
+        _emit_json(args, _report_dict(rep))
+    except Exception:
+        if args.svg:
+            os.remove(args.svg)
+        raise
     return 0
 
 
@@ -541,6 +547,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         sys.stderr.write(f"needleboard: contract failure: {exc}\n")
         return 2
+    except MemoryError as exc:
+        sys.stderr.write(f"needleboard: {args.subcommand}: out of memory: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -125,6 +125,17 @@ def _exact_clip(p: tuple[float, float], q: tuple[float, float], n: int):
     return lo, ends[:2], [(float(w), float(w - Fraction(float(w)))) for w in ends]
 
 
+def _next_crossing(k: int, w0: float, e0: float, c: float) -> float:
+    # Walk parameter u at which (w0 + e0) + u c leaves cell k along one
+    # axis: the gridline k + 1 ahead when c > 0, k when c < 0, never when
+    # c = 0.
+    if c > 0.0:
+        return (((k + 1) - w0) - e0) / c
+    if c < 0.0:
+        return ((k - w0) - e0) / c
+    return math.inf
+
+
 def cell_crossings(s: Segment, n: int) -> CrossingList:
     """Exact decomposition of s intersected with [0, n]^2 into per-cell pieces.
 
@@ -185,24 +196,9 @@ def cell_crossings(s: Segment, n: int) -> CrossingList:
     off = float(t0) * ln
     sx = 1 if dx > 0.0 else (-1 if dx < 0.0 else 0)
     sy = 1 if dy > 0.0 else (-1 if dy < 0.0 else 0)
-
-    def next_tx(ii: int) -> float:
-        if cx > 0.0:
-            return (((ii + 1) - x0) - ex0) / cx
-        if cx < 0.0:
-            return ((ii - x0) - ex0) / cx
-        return math.inf
-
-    def next_ty(jj: int) -> float:
-        if cy > 0.0:
-            return (((jj + 1) - y0) - ey0) / cy
-        if cy < 0.0:
-            return ((jj - y0) - ey0) / cy
-        return math.inf
-
     entries = []
     t = 0.0
-    tx, ty = next_tx(i), next_ty(j)
+    tx, ty = _next_crossing(i, x0, ex0, cx), _next_crossing(j, y0, ey0, cy)
     while True:
         tn = min(tx, ty)
         if tn >= 1.0 - _TIE:
@@ -213,10 +209,10 @@ def cell_crossings(s: Segment, n: int) -> CrossingList:
             entries.append(Crossing(i, j, (tn - t) * lnc, off + t * lnc, off + tn * lnc))
         if tx <= tn + _TIE:
             i += sx
-            tx = next_tx(i)
+            tx = _next_crossing(i, x0, ex0, cx)
         if ty <= tn + _TIE:
             j += sy
-            ty = next_ty(j)
+            ty = _next_crossing(j, y0, ey0, cy)
         t = tn
         if not (0 <= i < n and 0 <= j < n):
             break

@@ -37,8 +37,12 @@ cos(2 pi d2 xi2); folding R(-d) = R(d) onto d1, d2 >= 0 leaves one
 lag-by-lag kernel.  Each quadrant row keeps the first samples of the half
 axis, up to the circle, so that row's sums of sinc^2 cos(2 pi d2 xi2) come
 from one running sum along the half axis; one (n x G/2)(G/2 x n) product
-then sums the rows.  A grid costs O(n^2 log n + G n^2), against O(G^2 n)
-for forming phi at every sample, and no G x G array is built.
+then sums the rows.  The rows are counted in integers: in units of h/2
+the samples are the odd integers below G and the circle is G, whatever A,
+and no sample lies within 2/G^2 (relative) of the circle, so the float
+predicate xi1^2 + xi2^2 < A^2 gives the same rows (_disk_rows) wherever
+the squares are not subnormal.  A grid costs O(n^2 log n + G n^2), against
+O(G^2 n) for forming phi at every sample, and no G x G array is built.
 
 The cosine table is the real part of one phase table e^(2 pi i d xi_k),
 d < n, on the half axis, built by split angle addition: with k = B q + r
@@ -220,22 +224,17 @@ def _pow2_at_least(x: float) -> int:
     return g
 
 
-def _disk_rows(xi: np.ndarray, r2: float) -> np.ndarray:
-    # Row k1 keeps the half-axis samples with xi1^2 + xi2^2 < r2, the
-    # predicate evaluated as written.  xi2^2 never decreases along the half
-    # axis, so they are its first b_k1 samples: return b.  searchsorted on
-    # the rounded threshold places each row's boundary; the fix-up steps
-    # across the rounding until the predicate holds at the last counted
-    # sample and fails at the first uncounted one.
-    sq = xi**2
-    last = sq.size - 1
-    b = np.searchsorted(sq, r2 - sq)
-    while True:
-        down = (b > 0) & ~(sq + sq[np.maximum(b - 1, 0)] < r2)
-        up = ~down & (b <= last) & (sq + sq[np.minimum(b, last)] < r2)
-        if not (down.any() or up.any()):
-            return b
-        b = b - down + up
+def _disk_rows(grid: int) -> np.ndarray:
+    # Row k1 keeps the half-axis samples with xi1^2 + xi2^2 < A^2.  In units
+    # of h/2 = A/G the samples are the odd integers o < G and the circle is
+    # G, so row o1 keeps the o2 with o1^2 + o2^2 < G^2, the same set for
+    # every A; o2^2 grows along the half axis, so they are its first b_o1
+    # samples: return b.  A sum of two odd squares is 2 mod 8 and G^2 is
+    # 0 mod 8, so no sample comes within 2/G^2 (relative) of the circle,
+    # far above float rounding: the predicate as written gives these counts
+    # (tests/test_spectral.py checks A from 1e-150 to 1e150).
+    o = np.arange(1, grid, 2)
+    return np.searchsorted(o * o, grid * grid - o * o)
 
 
 def _row_kernel(w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -270,13 +269,14 @@ def _disk_energy_grid(c: Coloring, a_radius: float, grid: int) -> float:
     # Only the half axis xi_k = (k + 1/2) h, k < G/2, is sampled; the full
     # axis is -xi[::-1], xi, an exact mirror, and the integrand is even in
     # each axis, so the disk sum is 4 h^2 times the quadrant sum.  Row k1
-    # keeps the first b_k1 samples of the second half axis.
+    # keeps the first b_k1 samples of the second half axis, counted in
+    # integers by _disk_rows.
     n = c.n
     h = 2.0 * a_radius / grid
     xi = (np.arange(grid // 2) + 0.5) * h
     # Table sinc^2(xi_k) cos(2 pi d xi_k), d < n, from the phase table.
     w = _phase_table(n, xi, h).real * np.sinc(xi) ** 2
-    kernel = _row_kernel(w, _disk_rows(xi, a_radius * a_radius))
+    kernel = _row_kernel(w, _disk_rows(grid))
     # Autocorrelation R(d) = sum_q z_(q+d) z_q on |d1|, |d2| < n, from one
     # zero-padded FFT; p = R(d1, d2) and m = R(-d1, d2) for d1, d2 >= 0.
     # Over a quadrant's four mirror images cos(2 pi d.xi) sums to

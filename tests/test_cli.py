@@ -122,6 +122,36 @@ def test_search_svg_failure_emits_no_report(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_search_report_failure_removes_the_svg(tmp_path, capsys):
+    # The other order: the SVG is written, then --out cannot be.
+    board = _board_file(tmp_path, make_parity(4))
+    svg = tmp_path / "board.svg"
+    out = str(tmp_path / "missing" / "report.json")
+    assert main(["search", "--board", board, "--angles", "64", "--svg", str(svg),
+                 "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "report.json" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["board.txt"]
+
+
+# 10^17 elements exceed any 57-bit address space, so numpy refuses the
+# allocation before it touches memory.
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--seg", "0,0.5,4,0.5", "--mc", "100000000000000000"],
+    ["tail", "--n", "4", "--seg", "0,0.5,4,0.5", "--trials", "100000000000000000"],
+], ids=["integrate-mc", "tail-trials"])
+def test_memory_exhaustion_exits_1_without_a_traceback(tmp_path, capsys, argv):
+    if argv[0] == "integrate":
+        argv = [*argv, "--board", _board_file(tmp_path, make_parity(4))]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"needleboard: {argv[0]}: out of memory: Unable to allocate")
+
+
 def test_project_csv_profile(tmp_path, capsys):
     board = _board_file(tmp_path, make_parity(4))
     rc = main(["project", "--board", board, "--theta", "0.3", "--format", "csv"])

@@ -393,12 +393,10 @@ def test_certificate_is_sound_on_real_boards(c):
     assert 0.0 < bound <= brute_force(c).best_chord[1]
 
 
-def _tensor_grid_energy(c, a_radius, grid, bounds=None):
+def _tensor_grid_energy(c, a_radius, grid):
     # Reference oracle for _disk_energy_grid: the midpoint tensor-grid sum
     # it replaced.  It forms phi at every sample of the lower-half rows and
-    # masks the open disk, with the disk predicate written the same way;
-    # ``bounds`` = (lo, hi) replaces the disk by the index interval
-    # [lo[k1], hi[k1]) of each row k1 < G/2.
+    # masks the open disk with the float predicate xi1^2 + xi2^2 < A^2.
     h = 2.0 * a_radius / grid
     xi = -a_radius + (np.arange(grid) + 0.5) * h
     s2 = np.sinc(xi) ** 2
@@ -407,16 +405,12 @@ def _tensor_grid_energy(c, a_radius, grid, bounds=None):
     r2 = a_radius * a_radius
     block = max(1, (1 << 20) // grid)
     half = grid // 2
-    k2 = np.arange(grid)
     total = 0.0
     for lo in range(0, half, block):
         hi = min(half, lo + block)
         ph = ee[:, lo:hi].T @ m
         w = (ph.real**2 + ph.imag**2) * s2[None, :] * s2[lo:hi, None]
-        if bounds is None:
-            inside = (xi[lo:hi, None] ** 2 + xi[None, :] ** 2) < r2
-        else:
-            inside = (k2 >= bounds[0][lo:hi, None]) & (k2 < bounds[1][lo:hi, None])
+        inside = (xi[lo:hi, None] ** 2 + xi[None, :] ** 2) < r2
         total += float(np.sum(w, where=inside))
     return 2.0 * total * h * h
 
@@ -485,9 +479,7 @@ def _row_kernel_per_row(w, b):
     (1, 0.5, 32), (3, 2.0, 64), (7, 5.5, 256), (16, 4.0, 512), (33, 16.0, 4096),
 ])
 def test_row_kernel_equals_the_concatenated_running_sums(n, a_radius, grid):
-    h = 2.0 * a_radius / grid
-    xi = (np.arange(grid // 2) + 0.5) * h
-    b = spectral._disk_rows(xi, a_radius * a_radius)
+    b = spectral._disk_rows(grid)
     w = np.random.default_rng(n).standard_normal((n, grid // 2))
     # Both sum the same products in other orders: each of the two sums of at
     # most G/2 terms rounds by at most G/2 eps times its sum of magnitudes.
@@ -498,24 +490,37 @@ def test_row_kernel_equals_the_concatenated_running_sums(n, a_radius, grid):
     assert np.all(np.abs(got - want) <= tol)
 
 
-def test_disk_rows_follow_the_predicate_as_rounded():
-    # A radius placed exactly on a sum xi1^2 + xi2^2, or one ulp above it,
-    # makes the rounded threshold r2 - xi1^2 misplace a boundary now and
-    # then; the counts must follow the predicate itself.
-    rng = np.random.default_rng(1)
-    half = 4
-    misplaced = 0
-    for _ in range(300):
-        xi = np.sort(rng.uniform(0.01, 1.0, half))
-        sq = xi**2
-        r2 = sq[rng.integers(half)] + sq[rng.integers(half)]
-        if rng.random() < 0.5:
-            r2 = np.nextafter(r2, 2.0)
-        inside = sq[:, None] + sq[None, :] < r2
-        b = spectral._disk_rows(xi, r2)
-        assert np.array_equal(b, inside.sum(axis=1))
-        misplaced += np.any(np.searchsorted(sq, r2 - sq) != b)
-    assert misplaced > 0
+@pytest.mark.parametrize("grid", [1 << k for k in range(5, 16)])
+def test_disk_rows_equal_the_float_predicate(grid):
+    # The integer rows against xi1^2 + xi2^2 < A^2 evaluated as written on
+    # the half-axis samples, at radii log-spread over 1e-150..1e150 and the
+    # CLI's radii.  Up to G = 2^11 the whole quadrant is compared; above,
+    # each row's boundary samples b - 1 (inside) and b (outside), which
+    # settle the row since xi2^2 grows along the half axis.
+    b = spectral._disk_rows(grid)
+    half = grid // 2
+    assert b.shape == (half,)
+    # No sample is within 2 of the circle in units of h/2: o1^2 + o2^2 is
+    # 2 mod 8 and G^2 is 0 mod 8.  Along a row |o1^2 + o2^2 - G^2| is least
+    # at one of the boundary samples, so checking them covers the row.
+    o = np.arange(1, grid, 2)
+    for k2 in (b - 1, b):
+        ok = (k2 >= 0) & (k2 < half)
+        gap = o[ok] ** 2 + o[k2[ok]] ** 2 - grid * grid
+        assert np.all(np.abs(gap) >= 2)
+    rows = np.arange(half)
+    for a in [*np.logspace(-150, 150, 61), 3.3, 4.0, 16.0]:
+        h = 2.0 * a / grid
+        xi = (np.arange(half) + 0.5) * h
+        r2 = a * a
+        if grid <= 1 << 11:
+            inside = xi[:, None] ** 2 + xi[None, :] ** 2 < r2
+            assert np.array_equal(inside, rows[None, :] < b[:, None]), a
+        else:
+            last = b > 0
+            assert np.all(xi[rows[last]] ** 2 + xi[b[last] - 1] ** 2 < r2), a
+            first = b < half
+            assert not np.any(xi[rows[first]] ** 2 + xi[b[first]] ** 2 < r2), a
 
 
 def _criterion_7_fixtures(n):
