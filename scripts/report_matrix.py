@@ -33,6 +33,15 @@ def calls() -> list[tuple[str, list[str]]]:
                     ["generate", "--n", str(n), "--seed", str(n), "--out", boards[n]]))
     for kind in ("constant", "parity", "stripes"):
         out.append((f"generate-{kind}-8", ["generate", "--n", "8", "--kind", kind]))
+    # tie-heavy boards, where the empty prefix ties and the search's
+    # witness is the board entry
+    tied = {}
+    for name, kind in (("constant", ["constant"]), ("parity", ["parity"]),
+                       ("stripes", ["stripes"]),
+                       ("stripes-vertical", ["stripes", "--axis", "vertical"])):
+        tied[name] = f"boards/{name}-8.txt"
+        out.append((f"generate-{name}-8-file",
+                    ["generate", "--n", "8", "--kind", *kind, "--out", tied[name]]))
     for n, board in boards.items():
         half = repr(n / 2)
         for tag, seg in (("row", f"0,{half},{n},{half}"),
@@ -50,6 +59,8 @@ def calls() -> list[tuple[str, list[str]]]:
         out.append((f"certify-{n}", ["certify", "--board", board]))
         budget = ["--angles", "256"] if n == 64 else []
         out.append((f"search-{n}", ["search", "--board", board, *budget]))
+    for name, board in tied.items():
+        out.append((f"search-{name}-8", ["search", "--board", board]))
     out += [
         ("integrate-mc-8", ["integrate", "--board", boards[8], "--seg", "0.5,0,7.5,8",
                             "--mc", "1000"]),

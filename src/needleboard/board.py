@@ -145,7 +145,7 @@ def read_text(stream: TextIO) -> Coloring:
         raise BoardFormatError(f"line 1: expected header {HEADER!r}, got {got!r}")
     if len(lines) < 2:
         raise BoardFormatError("line 2: missing board side")
-    if not lines[1].isdigit():
+    if not (lines[1].isascii() and lines[1].isdigit()):
         raise BoardFormatError(f"line 2: board side must be a decimal integer, got {lines[1]!r}")
     n = int(lines[1])
     if n < 1:

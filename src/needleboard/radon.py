@@ -10,8 +10,11 @@ Three scans give per offset the chord integral and the largest and
 smallest prefix integrals along the chord; lattice_scan and offset_scan add
 the witness of the one line best_segment picks, in an OffsetScan.  That
 holds the one tie rule (smaller offset, then the first crossing along
-uperp; values within tie_tolerance of a maximum tie with it) and the one
-witness construction.
+uperp; values within tie_tolerance of a maximum tie with it) and builds the
+witness segment.  Each scan rebuilds the winning line alone as positions
+along it, from the board entry, with the prefix integral up to each (0 at
+the entry), and _witness picks both ends: the first position where the
+prefix comes within the tie of its top, and of its bottom.
 
 - One kernel core, _lattice_core, serves every lattice direction: it
   evaluates every breakpoint chord of a primitive lattice direction from
@@ -27,8 +30,9 @@ witness construction.
   every piece and its order, so its chord and prefix arrays equal
   lattice_scan's bit for bit.  It builds no witnesses.
 - lattice_scan is the core's call for one board and one direction, plus the
-  witness of the best segment.  It serves the search's two winners and the
-  two axis directions (theta = 0, pi/2) of offset_scan.
+  witness of the best segment: it walks the winning line's pieces in one
+  prefix, step by step from the board entry.  It serves the search's two
+  winners and the two axis directions (theta = 0, pi/2) of offset_scan.
 - offset_scan serves arbitrary angles (project, max_chord_in_direction,
   max_segment_in_direction) at the direction's breakpoint offsets.
   Off-axis it sorts the gridline crossings of a block of chords at a time,
@@ -36,7 +40,8 @@ witness construction.
   on the axes it returns lattice_scan.
 
 _walk_direction is the scalar oracle: it walks cell_crossings chord by chord
-and is used only by search.brute_force and the tests.
+and is used only by search.brute_force and the tests.  It shares only the
+tie rule (_first_max, _witness) with the kernels.
 """
 
 from __future__ import annotations
@@ -172,6 +177,12 @@ def _first_max(values, tie: float) -> int:
     return int(np.argmax(v >= v.max() - tie))
 
 
+def _witness(s, prefix, tie: float) -> tuple[float, float]:
+    # the positions s where the first prefix within tie of the top, and of
+    # the bottom, ends
+    return float(s[_first_max(prefix, tie)]), float(s[_first_max(-prefix, tie)])
+
+
 def _first_maxima(values: np.ndarray, tie: float) -> np.ndarray:
     # _first_max of each row, as the values it picks
     i = np.argmax(values >= values.max(axis=1, keepdims=True) - tie, axis=1)
@@ -243,9 +254,7 @@ def offset_scan(c: Coloring, direction: Direction) -> OffsetScan:
     # works row by row, so these are the bits it had there)
     i = _first_max(top - bottom, tie)
     ev, prefix = _oblique_block(c, direction, ts[i:i + 1])
-    s_top = float(ev[0, np.argmax(prefix[0] >= top[i] - tie)])
-    s_bottom = float(ev[0, np.argmax(prefix[0] <= bottom[i] + tie)])
-    return OffsetScan(direction, tie, ts, chord, top, bottom, s_top, s_bottom)
+    return OffsetScan(direction, tie, ts, chord, top, bottom, *_witness(ev[0], prefix[0], tie))
 
 
 def _oblique_block(c: Coloring, direction: Direction, ts: np.ndarray):
@@ -330,31 +339,25 @@ def lattice_scan(c: Coloring, dx: int, dy: int) -> OffsetScan:
     l2 = dx * dx + dy * dy
     ln = math.sqrt(l2)
     m, wx, wy = k.m, k.wx, k.wy
-    pad, run, up, down = k.pad[0], k.run[0], k.up[0], k.down[0]
     top, bottom = k.top[0], k.bottom[0]
 
-    # the witness of the line best_segment picks, in steps along it: the
-    # board entry when the empty prefix ties, else the end of the first
-    # piece that does (the bottom searched as -prefix)
+    # the witness of the line best_segment picks, walked in one prefix: the
+    # board entry (prefix 0), then the end of piece q of each step k, at
+    # k + keys[q + 1] / den steps along the line (periods off the board add
+    # exact zeros)
     tie = tie_tolerance(c)
     i = _first_max(top - bottom, tie)
     mi = int(m[i])
-    pos = []
-    sides = ((up[:, i], top[i] - tie), (-down[:, i], -bottom[i] - tie))
-    for side, (vals, thr) in enumerate(sides):
-        if thr <= 0.0:
-            k_end = max(((0 if vi > 0 else n) - mi * wi) / vi
-                        for wi, vi in ((wx, dx), (wy, dy)) if vi)
-        else:
-            at = int(np.argmax(vals >= thr))
-            ki = int(k.first[i]) + at
-            bx = mi * wx + ki * dx - k.x0 + k.sx
-            by = mi * wy + ki * dy - k.y0 + k.sy
-            sign = 1 - 2 * side
-            prefix = sign * np.cumsum(pad[bx, by] * k.ell) + sign * run[at, i]
-            k_end = ki + int(k.keys[int(np.argmax(prefix >= thr)) + 1]) / k.den
-        pos.append((mi * (wx * dx + wy * dy) + k_end * l2) / ln)
-    return OffsetScan(Direction.along(dx, dy), tie, m / ln, k.chord[0], top, bottom, *pos)
+    steps = int(k.first[i]) + np.arange(int(k.count[i]))[:, None]
+    entry = max(((0 if vi > 0 else n) - mi * wi) / vi for wi, vi in ((wx, dx), (wy, dy)) if vi)
+    at = np.concatenate([[entry], (steps + k.keys[1:] / k.den).ravel()])
+    bx = mi * wx + steps * dx - k.x0 + k.sx
+    by = mi * wy + steps * dy - k.y0 + k.sy
+    prefix = np.zeros(at.size)
+    np.cumsum(k.pad[0][bx, by] * k.ell, out=prefix[1:])
+    s = (mi * (wx * dx + wy * dy) + at * l2) / ln
+    return OffsetScan(Direction.along(dx, dy), tie, m / ln, k.chord[0], top, bottom,
+                      *_witness(s, prefix, tie))
 
 
 def orbit_scan(c: Coloring, vecs) -> np.ndarray:
@@ -411,9 +414,10 @@ def _onto(cells: np.ndarray, v: tuple[int, int], V: tuple[int, int]):
 # q of a step runs from keys[q] / den to keys[q + 1] / den of it, over length
 # ell[q]; box point (i, j), the lattice point (x0 + i, y0 + j), reads piece q
 # at pad[:, i + sx[q], j + sy[q]].  Line l is p = m[l]*(wx, wy) + k*v, with
-# steps k from first[l].  Per board (axis 0), step and line: run, up, down;
-# per board and line: chord, top, bottom.
-_Lines = namedtuple("_Lines", "keys den ell sx sy x0 y0 wx wy m first pad run up down "
+# count[l] steps k from first[l]; per board (axis 0) and line: chord, top,
+# bottom.  lattice_scan walks the one line it needs piece by piece for its
+# witness.
+_Lines = namedtuple("_Lines", "keys den ell sx sy x0 y0 wx wy m first count pad "
                               "chord top bottom")
 
 
@@ -479,7 +483,7 @@ def _lattice_core(boards: np.ndarray, dx: int, dy: int) -> _Lines:
     chord = run[:, -1] + whole[:, -1]
     up += run
     down += run
-    return _Lines(keys, den, ell, sx, sy, x0, y0, wx, wy, m, first, pad, run, up, down,
+    return _Lines(keys, den, ell, sx, sy, x0, y0, wx, wy, m, first, count, pad,
                   chord, up.max(axis=1), down.min(axis=1))
 
 
@@ -521,7 +525,7 @@ def _walk_direction(c: Coloring, direction: Direction):
             prefix.append(acc)
             pos.append(e.t_out)
         arr = np.asarray(prefix)
-        s_lo, s_hi = sorted((pos[_first_max(arr, tie)], pos[_first_max(-arr, tie)]))
+        s_lo, s_hi = sorted(_witness(pos, arr, tie))
         chords.append(abs(acc))
         segs.append((Segment(seg.point_at(s_lo), seg.point_at(s_hi)),
                      float(arr.max() - arr.min())))

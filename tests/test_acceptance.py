@@ -7,12 +7,14 @@ Runtime caps are asserted where the check is a calibrated workload.
 from __future__ import annotations
 
 import math
+import os
 import subprocess
 import sys
 import time
 
 import numpy as np
 
+import needleboard
 from needleboard import (
     Direction,
     Segment,
@@ -199,8 +201,11 @@ def test_criterion_09_snap_stability():
 
 
 def _cli(argv):
+    # the child imports the package from the source tree this process uses
+    src = os.path.dirname(os.path.dirname(os.path.abspath(needleboard.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "needleboard.cli", *argv],
-                          capture_output=True)
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=path))
 
 
 def test_criterion_10_cli_determinism(tmp_path):

@@ -148,6 +148,16 @@ def test_read_text_malformed(text, where):
         read_text(io.StringIO(text))
 
 
+@pytest.mark.parametrize("side", ["\u0663", "\uff13", "\u00b2"],
+                         ids=["arabic-indic-3", "fullwidth-3", "superscript-2"])
+def test_read_text_board_side_is_ascii_decimal(side):
+    # str.isdigit accepts these; int() reads the first two as 3 and fails
+    # on the third with a message that names no line
+    text = f"needleboard v1\n{side}\n+++\n+++\n+++\n"
+    with pytest.raises(BoardFormatError, match="line 2: board side must be a decimal integer"):
+        read_text(io.StringIO(text))
+
+
 # Reference loops for the text format: the character-by-character writer
 # and row parser that write_text and read_text replace with array code.
 def _reference_text(c):

@@ -376,21 +376,22 @@ def test_help_and_version_exit_zero(capsys):
 
 
 def _cli(argv, env=None, module="needleboard.cli"):
-    merged = dict(os.environ, **(env or {}))
+    # the child imports the package from the source tree this process uses,
+    # installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(needleboard.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    merged = dict(os.environ, PYTHONPATH=path, **(env or {}))
     return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, env=merged)
 
 
 def test_python_dash_m_needleboard_runs_the_cli(tmp_path):
     # The package runs as a module from its source tree, without an install.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(needleboard.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     board = _board_file(tmp_path, make_random(5, 4))
     argv = ["spectrum", "--board", board, "--a", "4", "--theta", "0.7"]
-    run = _cli(argv, env={"PYTHONPATH": path}, module="needleboard")
+    run = _cli(argv, module="needleboard")
     assert run.returncode == 0, run.stderr.decode()
-    assert run.stdout == _cli(argv, env={"PYTHONPATH": path}).stdout
-    bad = _cli(["spectrum", "--board", board, "--a", "nan"], env={"PYTHONPATH": path},
-               module="needleboard")
+    assert run.stdout == _cli(argv).stdout
+    bad = _cli(["spectrum", "--board", board, "--a", "nan"], module="needleboard")
     assert bad.returncode == 1
 
 

@@ -8,8 +8,9 @@ offset itself.  Those boards have at most 169 breakpoints, one block of
 offset_scan, so fixed boards at n = 24 and 32 (625 and 1,089 breakpoints)
 check it across blocks and at several block sizes.  lattice_scan is checked
 at every primitive lattice direction, axes included, values and witnesses
-both, and orbit_scan, the search's batched call of the same kernel, against
-lattice_scan bit for bit.
+both; on +-1 boards its witness is checked bit for bit against an exact
+integer walk of the winning line.  orbit_scan, the search's batched call of
+the same kernel, is checked against lattice_scan bit for bit.
 """
 
 import math
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from needleboard import radon
-from needleboard.board import Coloring, make_random
+from needleboard.board import Coloring, make_constant, make_parity, make_random, make_stripes
 from needleboard.geom import integrate
 from needleboard.radon import (
     _BLOCK,
@@ -197,6 +198,77 @@ def test_lattice_chords_equal_offset_scan_at_every_breakpoint(case):
     ref = offset_scan(c, d)
     for a, b in zip(scan[3:6], ref[3:6]):
         assert np.max(np.abs(a - b)) <= 1e-9 * c.n
+
+
+@st.composite
+def sign_lattice_cases(draw):
+    # a +-1 board (random, constant, parity or stripes) and any primitive
+    # (dx, dy) with |dx|, |dy| <= n, either sign, both axes
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["random", "constant", "parity", "stripes"]))
+    if kind == "random":
+        c = Coloring(n, np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                                min_size=n * n, max_size=n * n))).reshape(n, n))
+    elif kind == "constant":
+        c = make_constant(n, draw(st.sampled_from([-1.0, 1.0])))
+    elif kind == "parity":
+        c = make_parity(n)
+    else:
+        c = make_stripes(n, draw(st.sampled_from(["horizontal", "vertical"])))
+    dx = draw(st.integers(-n, n))
+    dy = draw(st.integers(-n, n).filter(lambda y: y or dx))
+    g = math.gcd(dx, dy)
+    return c, (dx // g, dy // g)
+
+
+def _exact_line(c, m, w, v, den):
+    # The line p = m*w + (K / den)*v of a +-1 board in exact integers: the
+    # board entry K, then each piece's end K, and the prefix integral up to
+    # each in units of |v| / den (0 at the entry).  A piece's cell is the
+    # floor of its midpoint, so a line on the gridline x = n (or y = n)
+    # owns no cells.
+    n = c.n
+    ends = [[(e - m * wi) * den // vi for e in range(n + 1)] for wi, vi in zip(w, v) if vi]
+    lo, hi = max(map(min, ends)), min(map(max, ends))
+    keys = sorted({k for axis in ends for k in axis if lo <= k <= hi})
+    at, prefix = [lo], [0]
+    for ka, kb in zip(keys, keys[1:]):
+        i, j = ((2 * den * m * wi + (ka + kb) * vi) // (2 * den) for wi, vi in zip(w, v))
+        z = int(c.cells[i, j]) if 0 <= i < n and 0 <= j < n else 0
+        at.append(kb)
+        prefix.append(prefix[-1] + z * (kb - ka))
+    return at, prefix
+
+
+@settings(max_examples=200)
+@given(sign_lattice_cases())
+def test_lattice_witness_is_the_exact_integer_pick(case):
+    # On a +-1 board every prefix along a lattice line is an integer
+    # multiple of |v| / den, so the pick is exact: s_top and s_bottom are,
+    # bit for bit, the board entry or the first piece end where the integer
+    # prefix of the line best_segment picks reaches its maximum and its
+    # minimum, converted by (m*(w.v) + k*|v|^2) / |v|.
+    c, v = case
+    n = c.n
+    scan = lattice_scan(c, *v)
+    dx, dy = radon._along_uperp(*v)
+    core = radon._lattice_core(c.cells[None], dx, dy)
+    w = (core.wx, core.wy)
+    den = max(abs(dx), 1) * max(abs(dy), 1)
+    lines = sorted({x * dy - y * dx for x in range(n + 1) for y in range(n + 1)})
+    walks = [(m, *_exact_line(c, m, w, (dx, dy), den)) for m in lines]
+    # max keeps the first of equal ranges: the smaller offset m / |v|
+    m, at, prefix = max(walks, key=lambda walk: max(walk[2]) - min(walk[2]))
+    ln = math.sqrt(dx * dx + dy * dy)
+
+    def position(q):
+        # the entry in steps, or step k // den plus the piece end's fraction
+        k = at[q]
+        steps = k // den + (k % den) / den if q else k / den
+        return (m * (w[0] * dx + w[1] * dy) + steps * (dx * dx + dy * dy)) / ln
+
+    assert scan.s_top == position(prefix.index(max(prefix)))
+    assert scan.s_bottom == position(prefix.index(min(prefix)))
 
 
 @st.composite

@@ -475,10 +475,8 @@ def _row_kernel_per_row(w, b):
     return out
 
 
-@pytest.mark.parametrize("n, a_radius, grid", [
-    (1, 0.5, 32), (3, 2.0, 64), (7, 5.5, 256), (16, 4.0, 512), (33, 16.0, 4096),
-])
-def test_row_kernel_equals_the_concatenated_running_sums(n, a_radius, grid):
+@pytest.mark.parametrize("n, grid", [(1, 32), (3, 64), (7, 256), (16, 512), (33, 4096)])
+def test_row_kernel_equals_the_concatenated_running_sums(n, grid):
     b = spectral._disk_rows(grid)
     w = np.random.default_rng(n).standard_normal((n, grid // 2))
     # Both sum the same products in other orders: each of the two sums of at
