@@ -8,18 +8,20 @@ maximization reduces to scanning breakpoints.
 
 Three scans give per offset the chord integral and the largest and
 smallest prefix integrals along the chord; lattice_scan and offset_scan add
-the witness of the one line best_segment picks, in an OffsetScan.  That
-holds the one tie rule (smaller offset, then the first crossing along
-uperp; values within tie_tolerance of a maximum tie with it) and builds the
-witness segment.  Each scan rebuilds the winning line alone as positions
-along it, from the board entry, with the prefix integral up to each (0 at
-the entry), and _witness picks both ends: the first position where the
-prefix comes within the tie of its top, and of its bottom.
+the witness segment of the one line best_segment picks, in an OffsetScan.
+That holds the one tie rule (smaller offset, then the first crossing along
+uperp; values within tie_tolerance of a maximum tie with it).  Each scan
+rebuilds the winning line alone as positions along it, from the board
+entry, with the prefix integral up to each (0 at the entry), and _witness
+picks both ends: the first position where the prefix comes within the tie
+of its top, and of its bottom.
 
 - One kernel core, _lattice_core, serves every lattice direction: it
   evaluates every breakpoint chord of a primitive lattice direction from
   shifted sums over the zero-padded board, with no float sort, clip or
-  deduplication, for a stack of boards at once.  Axis chords run along
+  deduplication, for a stack of boards at once.  It sums integer piece
+  lengths and scales by |v|/den once, so on a +-1 board chord, top and
+  bottom are exact integers times fl(|v|/den).  Axis chords run along
   columns or rows and may lie on gridlines; the piece offset d = (0, 0) or
   (-1, 0) gives them half-open ownership: the gridline t = k belongs to
   line k and t = n to none, so the profile steps at integer offsets instead
@@ -30,9 +32,9 @@ prefix comes within the tie of its top, and of its bottom.
   every piece and its order, so its chord and prefix arrays equal
   lattice_scan's bit for bit.  It builds no witnesses.
 - lattice_scan is the core's call for one board and one direction, plus the
-  witness of the best segment: it walks the winning line's pieces in one
-  prefix, step by step from the board entry.  It serves the search's two
-  winners and the two axis directions (theta = 0, pi/2) of offset_scan.
+  witness of the best segment, walked on the winning line alone in exact
+  integers.  It serves the search's two winners and the two axis directions
+  (theta = 0, pi/2) of offset_scan.
 - offset_scan serves arbitrary angles (project, max_chord_in_direction,
   max_segment_in_direction) at the direction's breakpoint offsets.
   Off-axis it sorts the gridline crossings of a block of chords at a time,
@@ -47,7 +49,6 @@ tie rule (_first_max, _witness) with the kernels.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -177,10 +178,10 @@ def _first_max(values, tie: float) -> int:
     return int(np.argmax(v >= v.max() - tie))
 
 
-def _witness(s, prefix, tie: float) -> tuple[float, float]:
+def _witness(s: list, prefix, tie: float) -> tuple:
     # the positions s where the first prefix within tie of the top, and of
     # the bottom, ends
-    return float(s[_first_max(prefix, tie)]), float(s[_first_max(-prefix, tie)])
+    return s[_first_max(prefix, tie)], s[_first_max(-prefix, tie)]
 
 
 def _first_maxima(values: np.ndarray, tie: float) -> np.ndarray:
@@ -192,12 +193,12 @@ def _first_maxima(values: np.ndarray, tie: float) -> np.ndarray:
 class OffsetScan(NamedTuple):
     """Kernel output for one direction: per-offset arrays and one witness.
 
-    The chord at offset t is {t*u + s*uperp}; positions s are arclengths
-    along uperp from t*u.  Per offset, `chord` is the chord integral and
-    `top` and `bottom` the largest and smallest prefix integrals along the
-    chord (the empty prefix, 0, included).  `s_top` and `s_bottom` belong
-    to the one line best_segment picks: the positions where its first
-    prefix within `tie` of its top, and of its bottom, ends.
+    The chord at offset t is {t*u + s*uperp}.  Per offset, `chord` is the
+    chord integral and `top` and `bottom` the largest and smallest prefix
+    integrals along the chord (the empty prefix, 0, included).  `witness`
+    is the best segment of the one line best_segment picks: it runs along
+    uperp between the ends of that line's first prefix within `tie` of its
+    top and of its bottom.
     """
 
     direction: Direction
@@ -206,8 +207,7 @@ class OffsetScan(NamedTuple):
     chord: np.ndarray
     top: np.ndarray
     bottom: np.ndarray
-    s_top: float
-    s_bottom: float
+    witness: Segment
 
     def best_chord(self) -> tuple[float, float]:
         """(t*, v*) maximizing |chord integral|; ties go to the smaller offset."""
@@ -221,13 +221,7 @@ class OffsetScan(NamedTuple):
         Ties go to the smaller offset, then to the smaller crossing index.
         """
         r = self.top - self.bottom
-        i = _first_max(r, self.tie)
-        t = float(self.offsets[i])
-        ux, uy = self.direction.u
-        s0, s1 = sorted((self.s_bottom, self.s_top))
-        a = (t * ux - s0 * uy + 0.0, t * uy + s0 * ux + 0.0)  # + 0.0: no -0.0 in reports
-        b = (t * ux - s1 * uy + 0.0, t * uy + s1 * ux + 0.0)
-        return Segment(a, b), float(r[i])
+        return self.witness, float(r[_first_max(r, self.tie)])
 
 
 def offset_scan(c: Coloring, direction: Direction) -> OffsetScan:
@@ -251,10 +245,14 @@ def offset_scan(c: Coloring, direction: Direction) -> OffsetScan:
         out[:, lo:lo + _BLOCK] = prefix[:, -1], prefix.max(axis=1), prefix.min(axis=1)
     chord, top, bottom = out
     # the witness: the line best_segment picks, rebuilt alone (a block
-    # works row by row, so these are the bits it had there)
+    # works row by row, so these are the bits it had there); its ends are
+    # the points t*u + s*uperp, + 0.0 so that no -0.0 enters a report
     i = _first_max(top - bottom, tie)
     ev, prefix = _oblique_block(c, direction, ts[i:i + 1])
-    return OffsetScan(direction, tie, ts, chord, top, bottom, *_witness(ev[0], prefix[0], tie))
+    t, (ux, uy) = float(ts[i]), direction.u
+    a, b = ((t * ux - s * uy + 0.0, t * uy + s * ux + 0.0)
+            for s in sorted(_witness(ev[0].tolist(), prefix[0], tie)))
+    return OffsetScan(direction, tie, ts, chord, top, bottom, Segment(a, b))
 
 
 def _oblique_block(c: Coloring, direction: Direction, ts: np.ndarray):
@@ -328,36 +326,39 @@ def lattice_scan(c: Coloring, dx: int, dy: int) -> OffsetScan:
     The chords run along v = +-(dx, dy), signed to point along uperp, and the
     breakpoint chords are the lattice lines m = x*dy - y*dx through a point
     of {0..n}^2, at offsets t = m / |v|.  The values come from _lattice_core
-    on the board alone; see there.  The witness positions are those of the
-    line best_segment picks.
+    on the board alone; see there.  The witness is the best segment of the
+    line best_segment picks, walked alone in exact integers.
     """
     if math.gcd(dx, dy) != 1:
         raise ValueError(f"lattice direction must be primitive, got ({dx}, {dy})")
     dx, dy = _along_uperp(dx, dy)
-    n = c.n
-    k = _lattice_core(c.cells[None], dx, dy)
-    l2 = dx * dx + dy * dy
-    ln = math.sqrt(l2)
-    m, wx, wy = k.m, k.wx, k.wy
-    top, bottom = k.top[0], k.bottom[0]
+    m, w, (chord, top, bottom) = _lattice_core(c.cells[None], dx, dy)
+    den = max(abs(dx), 1) * max(abs(dy), 1)
+    ln = math.sqrt(dx * dx + dy * dy)
 
-    # the witness of the line best_segment picks, walked in one prefix: the
-    # board entry (prefix 0), then the end of piece q of each step k, at
-    # k + keys[q + 1] / den steps along the line (periods off the board add
-    # exact zeros)
+    # The witness: the line p = mi*w + (K / den)*v that best_segment picks.
+    # K runs over its board entry, its gridline crossings and its exit, all
+    # integers (den / v_i is one); a piece's cell is the floor of its
+    # midpoint, so a line on x = n or y = n reads the pad's zeros and owns
+    # no cell.  The prefix up to each K is sum(z*dK) * |v| / den, and each
+    # end is the rational (mi*w*den + K*v) / den, rounded once.  With
+    # |m| <= 2n^2, |w| <= n and den <= n^2, numerators stay below about
+    # 4n^5, far inside int64.
     tie = tie_tolerance(c)
-    i = _first_max(top - bottom, tie)
-    mi = int(m[i])
-    steps = int(k.first[i]) + np.arange(int(k.count[i]))[:, None]
-    entry = max(((0 if vi > 0 else n) - mi * wi) / vi for wi, vi in ((wx, dx), (wy, dy)) if vi)
-    at = np.concatenate([[entry], (steps + k.keys[1:] / k.den).ravel()])
-    bx = mi * wx + steps * dx - k.x0 + k.sx
-    by = mi * wy + steps * dy - k.y0 + k.sy
-    prefix = np.zeros(at.size)
-    np.cumsum(k.pad[0][bx, by] * k.ell, out=prefix[1:])
-    s = (mi * (wx * dx + wy * dy) + at * l2) / ln
-    return OffsetScan(Direction.along(dx, dy), tie, m / ln, k.chord[0], top, bottom,
-                      *_witness(s, prefix, tie))
+    i = _first_max(top[0] - bottom[0], tie)
+    base = [int(m[i]) * wi * den for wi in w]  # the point mi*w, times den
+    cross = [(np.arange(c.n + 1) * den - e) // vi for e, vi in zip(base, (dx, dy)) if vi]
+    lo, hi = max(int(k.min()) for k in cross), min(int(k.max()) for k in cross)
+    keys = np.unique(np.clip(np.concatenate(cross), lo, hi))
+    mid = keys[:-1] + keys[1:]
+    ix, iy = ((2 * e + mid * vi) // (2 * den) for e, vi in zip(base, (dx, dy)))
+    prefix = np.zeros(keys.size)
+    np.cumsum(np.pad(c.cells, (0, 1))[ix, iy] * np.diff(keys), out=prefix[1:])
+    prefix *= ln / den
+    a, b = (((base[0] + k * dx) / den, (base[1] + k * dy) / den)
+            for k in sorted(_witness(keys.tolist(), prefix, tie)))
+    return OffsetScan(Direction.along(dx, dy), tie, m / ln, chord[0], top[0], bottom[0],
+                      Segment(a, b))
 
 
 def orbit_scan(c: Coloring, vecs) -> np.ndarray:
@@ -386,9 +387,8 @@ def orbit_scan(c: Coloring, vecs) -> np.ndarray:
         boards.append(board)
         flip.append(det < 0)
     per = max(1, _STACK // ((c.n + abs(V[0])) * (c.n + abs(V[1]))))
-    parts = [_lattice_core(np.stack(boards[lo:lo + per]), *V)
-             for lo in range(0, len(boards), per)]
-    out = np.concatenate([np.stack([k.chord, k.top, k.bottom]) for k in parts], axis=1)
+    out = np.concatenate([_lattice_core(np.stack(boards[lo:lo + per]), *V)[2]
+                          for lo in range(0, len(boards), per)], axis=1)
     out[:, flip] = out[:, flip, ::-1]
     return out
 
@@ -410,18 +410,7 @@ def _onto(cells: np.ndarray, v: tuple[int, int], V: tuple[int, int]):
     return cells, det
 
 
-# _lattice_core's output for K boards along one signed direction v.  Piece
-# q of a step runs from keys[q] / den to keys[q + 1] / den of it, over length
-# ell[q]; box point (i, j), the lattice point (x0 + i, y0 + j), reads piece q
-# at pad[:, i + sx[q], j + sy[q]].  Line l is p = m[l]*(wx, wy) + k*v, with
-# count[l] steps k from first[l]; per board (axis 0) and line: chord, top,
-# bottom.  lattice_scan walks the one line it needs piece by piece for its
-# witness.
-_Lines = namedtuple("_Lines", "keys den ell sx sy x0 y0 wx wy m first count pad "
-                              "chord top bottom")
-
-
-def _lattice_core(boards: np.ndarray, dx: int, dy: int) -> _Lines:
+def _lattice_core(boards: np.ndarray, dx: int, dy: int):
     # The kernel: every lattice line of the signed primitive v = (dx, dy),
     # on each of the K boards of the (K, n, n) stack at once.  A step v from
     # a lattice point p crosses the cells p + d_q over lengths l_q, q < P =
@@ -432,17 +421,21 @@ def _lattice_core(boards: np.ndarray, dx: int, dy: int) -> _Lines:
     # before p on its line.  Periods off the board add exact zeros, so they
     # change no value and no first crossing.  Every temporary has one entry
     # per board and lattice point (or per board, line and step), whatever P
-    # is: no pieces x points array is formed.
+    # is: no pieces x points array is formed.  Lengths are integers in
+    # units of |v| / den, so on a +-1 board every sum is exact until the
+    # one scaling at the end.  Returns the lines m (see below), the vector
+    # w, and chord, top and bottom as a (3, K, lines) array.
     K, n = boards.shape[0], boards.shape[1]
     a, b = abs(dx), abs(dy)
-    ln = math.sqrt(dx * dx + dy * dy)
     # piece q of a step runs from keys[q] / den to keys[q + 1] / den of it
-    # (the merge of i / a and j / b); its midpoint names its cell p + d_q
+    # (the merge of i / a and j / b), over keys[q + 1] - keys[q] units; its
+    # midpoint names its cell p + d_q
     den = max(a, 1) * max(b, 1)
     keys = np.array(sorted({*range(0, den + 1, max(b, 1)), *range(0, den + 1, max(a, 1))}))
     mid = keys[:-1] + keys[1:]
     ox, oy = mid * dx // (2 * den), mid * dy // (2 * den)
-    ell = (keys[1:] - keys[:-1]) * (ln / den)
+    # as floats: numpy multiplies by a float scalar faster than by an int
+    ell = np.diff(keys).astype(float).tolist()
 
     # the box of lattice points whose period meets the board: point (i, j)
     # is p = (x0 + i, y0 + j), and its piece q is pad[:, i + sx[q], j + sy[q]]
@@ -456,9 +449,9 @@ def _lattice_core(boards: np.ndarray, dx: int, dy: int) -> _Lines:
     sums = np.zeros((3, size + 1))  # the extra zero stands for "no point"
     acc, hi, lo = (f[:-1].reshape(K, nx, ny) for f in sums)  # hi, lo: 0 included
     tmp = np.empty((K, nx, ny))
-    for i, j, w in zip(sx.tolist(), sy.tolist(), ell.tolist()):
-        np.multiply(pad[:, i:i + nx, j:j + ny], w, out=tmp)
-        acc += tmp
+    for i, j, w in zip(sx.tolist(), sy.tolist(), ell):
+        piece = pad[:, i:i + nx, j:j + ny]
+        acc += piece if w == 1 else np.multiply(piece, w, out=tmp)
         np.maximum(hi, acc, out=hi)
         np.minimum(lo, acc, out=lo)
 
@@ -480,11 +473,11 @@ def _lattice_core(boards: np.ndarray, dx: int, dy: int) -> _Lines:
     whole, up, down = np.take(sums, box, axis=1)
     run = np.zeros_like(whole)  # S: the whole periods before each point
     np.cumsum(whole[:, :-1], axis=1, out=run[:, 1:])
-    chord = run[:, -1] + whole[:, -1]
     up += run
     down += run
-    return _Lines(keys, den, ell, sx, sy, x0, y0, wx, wy, m, first, count, pad,
-                  chord, up.max(axis=1), down.min(axis=1))
+    out = np.stack([run[:, -1] + whole[:, -1], up.max(axis=1), down.min(axis=1)])
+    out *= math.sqrt(dx * dx + dy * dy) / den
+    return m, (wx, wy), out
 
 
 def _steps(m, w, v, lo, hi):

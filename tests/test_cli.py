@@ -13,7 +13,9 @@ import sys
 import pytest
 
 import needleboard
-from needleboard import brute_force, make_parity, make_random, read_text, spectral, write_text
+from needleboard import (
+    brute_force, make_constant, make_parity, make_random, read_text, spectral, write_text,
+)
 from needleboard import cli
 from needleboard.cli import main
 
@@ -81,6 +83,17 @@ def test_search_envelope_and_parity_floor(tmp_path, capsys):
     )
     assert res["strategy"]["oracle"] is False
     assert "threads" not in doc["config"]
+
+
+@pytest.mark.parametrize("c", [make_constant(1, 1.0), make_constant(8, 1.0), make_parity(8)],
+                         ids=["constant-1", "constant-8", "parity-8"])
+def test_search_reports_the_exact_diagonal(tmp_path, capsys, c):
+    # the best segment of these boards is the anti-diagonal, reported with
+    # its exact ends and a length equal to its value
+    board = _board_file(tmp_path, c)
+    seg = _run_json(["search", "--board", board], capsys)["result"]["best_segment"]
+    assert [seg[k] for k in ("ax", "ay", "bx", "by")] == [c.n, 0.0, 0.0, c.n]
+    assert seg["length"] == seg["value"]
 
 
 def test_search_oracle_matches_library(tmp_path, capsys):

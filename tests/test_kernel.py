@@ -8,12 +8,16 @@ offset itself.  Those boards have at most 169 breakpoints, one block of
 offset_scan, so fixed boards at n = 24 and 32 (625 and 1,089 breakpoints)
 check it across blocks and at several block sizes.  lattice_scan is checked
 at every primitive lattice direction, axes included, values and witnesses
-both; on +-1 boards its witness is checked bit for bit against an exact
-integer walk of the winning line.  orbit_scan, the search's batched call of
-the same kernel, is checked against lattice_scan bit for bit.
+both.  On +-1 boards it is checked bit for bit against exact integers: every
+line's chord, top and bottom are integers times fl(|v|/den), and both
+witness ends are the exact rationals of an integer walk of the winning
+line, each rounded once; every witness end lies on the board.  orbit_scan,
+the search's batched call of the same kernel, is checked against
+lattice_scan bit for bit.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,7 +41,7 @@ from needleboard.radon import (
     orbit_scan,
     project,
 )
-from needleboard.search import _lattice_directions
+from needleboard.search import _lattice_directions, scan_report
 
 _GAP = 1e-3  # generic angles keep this distance from 0, pi/2 and pi
 
@@ -243,32 +247,44 @@ def _exact_line(c, m, w, v, den):
 @settings(max_examples=200)
 @given(sign_lattice_cases())
 def test_lattice_witness_is_the_exact_integer_pick(case):
-    # On a +-1 board every prefix along a lattice line is an integer
-    # multiple of |v| / den, so the pick is exact: s_top and s_bottom are,
-    # bit for bit, the board entry or the first piece end where the integer
-    # prefix of the line best_segment picks reaches its maximum and its
-    # minimum, converted by (m*(w.v) + k*|v|^2) / |v|.
+    # On a +-1 board every prefix along a lattice line is an integer times
+    # |v| / den.  So every line's chord, top and bottom are its exact
+    # integers times fl(|v| / den), bit for bit (a check by division would
+    # not do: dividing a rounded product need not give the integer back).
+    # The witness ends are the points m*w + (K / den)*v at the entry or
+    # first piece end K where the integer prefix of the line best_segment
+    # picks reaches its maximum and its minimum, each rounded once from the
+    # exact rational.
     c, v = case
     n = c.n
     scan = lattice_scan(c, *v)
     dx, dy = radon._along_uperp(*v)
-    core = radon._lattice_core(c.cells[None], dx, dy)
-    w = (core.wx, core.wy)
     den = max(abs(dx), 1) * max(abs(dy), 1)
+    # any w with w.(dy, -dx) = 1 names the same points
+    w = next((x, y) for x in range(-n, n + 1) for y in range(-n - 1, n + 2)
+             if x * dy - y * dx == 1)
     lines = sorted({x * dy - y * dx for x in range(n + 1) for y in range(n + 1)})
     walks = [(m, *_exact_line(c, m, w, (dx, dy), den)) for m in lines]
+    scale = math.sqrt(dx * dx + dy * dy) / den
+    for row, pick in ((scan.chord, lambda p: p[-1]), (scan.top, max), (scan.bottom, min)):
+        assert np.array_equal(row, np.array([pick(walk[2]) for walk in walks], float) * scale)
     # max keeps the first of equal ranges: the smaller offset m / |v|
     m, at, prefix = max(walks, key=lambda walk: max(walk[2]) - min(walk[2]))
-    ln = math.sqrt(dx * dx + dy * dy)
+    ends = sorted((at[prefix.index(max(prefix))], at[prefix.index(min(prefix))]))
+    want = [float(Fraction(m * wi * den + k * vi, den)).hex()
+            for k in ends for wi, vi in zip(w, (dx, dy))]
+    assert [p.hex() for p in scan.witness.a + scan.witness.b] == want
 
-    def position(q):
-        # the entry in steps, or step k // den plus the piece end's fraction
-        k = at[q]
-        steps = k // den + (k % den) / den if q else k / den
-        return (m * (w[0] * dx + w[1] * dy) + steps * (dx * dx + dy * dy)) / ln
 
-    assert scan.s_top == position(prefix.index(max(prefix)))
-    assert scan.s_bottom == position(prefix.index(min(prefix)))
+@pytest.mark.parametrize("n", range(1, 11))
+def test_lattice_witness_ends_lie_on_the_board(n):
+    # every direction of a parity, a random and a constant board: the ends
+    # of every lattice_scan witness, and of scan_report's, lie in [0, n]^2
+    for c in (make_parity(n), make_random(n, seed=n), make_constant(n, 1.0)):
+        segs = [lattice_scan(c, *v).witness for v in _lattice_directions(n)]
+        segs.append(scan_report(c).best_segment[0])
+        for seg in segs:
+            assert all(0.0 <= p <= n for p in seg.a + seg.b), seg
 
 
 @st.composite
