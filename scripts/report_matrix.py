@@ -55,6 +55,10 @@ def calls() -> list[tuple[str, list[str]]]:
             for a in ("4", "16", "3.3"):
                 out.append((f"spectrum-a{a}-{tag}-{n}",
                             ["spectrum", "--board", board, "--a", a, "--theta", theta]))
+        # off-axis profiles past pi/2, and next to an axis, where the
+        # profile's slope is about 1/theta
+        for theta in ("2.0", "1e-6"):
+            out.append((f"project-{theta}-{n}", ["project", "--board", board, "--theta", theta]))
         out.append((f"spectrum-default-{n}", ["spectrum", "--board", board]))
         out.append((f"certify-{n}", ["certify", "--board", board]))
         budget = ["--angles", "256"] if n == 64 else []

@@ -6,12 +6,12 @@ offset profile of the board's line integrals is piecewise linear with
 breakpoints exactly at lattice-point projections p.u, so per-direction
 maximization reduces to scanning breakpoints.
 
-Three scans give per offset the chord integral and the largest and
-smallest prefix integrals along the chord; lattice_scan and offset_scan add
-the witness segment of the one line best_segment picks, in an OffsetScan.
-That holds the one tie rule (smaller offset, then the first crossing along
-uperp; values within tie_tolerance of a maximum tie with it).  Each scan
-rebuilds the winning line alone as positions along it, from the board
+Two scans give per offset the chord integral and the largest and smallest
+prefix integrals along the chord; lattice_scan adds the witness segment of
+the one line best_segment picks, in an OffsetScan.  That holds the one tie
+rule (smaller offset, then the first crossing along uperp; values within
+tie_tolerance of a maximum tie with it).  lattice_scan and the scalar
+oracle rebuild the winning line alone as positions along it, from the board
 entry, with the prefix integral up to each (0 at the entry), and _witness
 picks both ends: the first position where the prefix comes within the tie
 of its top, and of its bottom.
@@ -34,16 +34,16 @@ of its top, and of its bottom.
 - lattice_scan is the core's call for one board and one direction, plus the
   witness of the best segment, walked on the winning line alone in exact
   integers.  It serves the search's two winners and the two axis directions
-  (theta = 0, pi/2) of offset_scan.
-- offset_scan serves arbitrary angles (project, max_chord_in_direction,
-  max_segment_in_direction) at the direction's breakpoint offsets.
-  Off-axis it sorts the gridline crossings of a block of chords at a time,
-  then rebuilds the crossings of the winning line alone for its witness;
-  on the axes it returns lattice_scan.
+  (theta = 0, pi/2) of project and the per-direction maxima.
+- Off the axes, project and max_chord_in_direction read the chord profile
+  from ramp moments (_ramp_profile): running sums of the board's mixed
+  second difference in the order of the breakpoints, exact integers on a
+  +-1 board.  max_segment_in_direction runs the scalar oracle there.
 
 _walk_direction is the scalar oracle: it walks cell_crossings chord by chord
-and is used only by search.brute_force and the tests.  It shares only the
-tie rule (_first_max, _witness) with the kernels.
+and is used by search.brute_force, max_segment_in_direction off the axes and
+the tests.  It shares only the tie rule (_first_max, _witness) with the
+kernels.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from .geom import integrate  # noqa: F401  (kept as a module attribute; perfbenc
 _HALF_PI = math.pi / 2
 _AXIS_SNAP = 1e-12  # angles this close to 0 or pi/2 are treated as exact
 _DEDUP = 1e-12  # breakpoint collision tolerance (absolute)
-_BLOCK = 512  # offsets per kernel block; keeps the event arrays cache-sized
 _TIE = 1e-12  # ties: see tie_tolerance
 # box points per _lattice_core pass over a stack of boards: its loop touches
 # about five arrays of this many floats (1.3 MB), which stay in a 2 MB L2
@@ -224,80 +223,53 @@ class OffsetScan(NamedTuple):
         return self.witness, float(r[_first_max(r, self.tie)])
 
 
-def offset_scan(c: Coloring, direction: Direction) -> OffsetScan:
-    """Evaluate the chords of one direction at its breakpoint offsets.
-
-    Off-axis, each chord's gridline crossings are computed, clipped to the
-    board and sorted as one event row, _BLOCK offsets at a time, so a block
-    is a handful of array operations.  Axis chords are lattice lines:
-    theta = 0 is lattice_scan(c, 0, 1) and theta = pi/2 is
-    lattice_scan(c, 1, 0).
-    """
-    if direction.theta == 0.0:
-        return lattice_scan(c, 0, 1)
-    if direction.theta == _HALF_PI:
-        return lattice_scan(c, 1, 0)
-    ts = breakpoint_offsets(c.n, direction)
-    tie = tie_tolerance(c)
-    out = np.empty((3, ts.size))
-    for lo in range(0, ts.size, _BLOCK):
-        prefix = _oblique_block(c, direction, ts[lo:lo + _BLOCK])[1]
-        out[:, lo:lo + _BLOCK] = prefix[:, -1], prefix.max(axis=1), prefix.min(axis=1)
-    chord, top, bottom = out
-    # the witness: the line best_segment picks, rebuilt alone (a block
-    # works row by row, so these are the bits it had there); its ends are
-    # the points t*u + s*uperp, + 0.0 so that no -0.0 enters a report
-    i = _first_max(top - bottom, tie)
-    ev, prefix = _oblique_block(c, direction, ts[i:i + 1])
-    t, (ux, uy) = float(ts[i]), direction.u
-    a, b = ((t * ux - s * uy + 0.0, t * uy + s * ux + 0.0)
-            for s in sorted(_witness(ev[0].tolist(), prefix[0], tie)))
-    return OffsetScan(direction, tie, ts, chord, top, bottom, Segment(a, b))
+def _axis_lattice_scan(c: Coloring, direction: Direction) -> OffsetScan:
+    # axis chords are lattice lines: theta = 0 runs along (0, 1), pi/2 along (1, 0)
+    return lattice_scan(c, *((0, 1) if direction.theta == 0.0 else (1, 0)))
 
 
-def _oblique_block(c: Coloring, direction: Direction, ts: np.ndarray):
-    # Per offset (row): the sorted crossing positions ev along its chord and
-    # the prefix integrals up to each of them.
+def _ramp_profile(c: Coloring, direction: Direction):
+    # The off-axis profile at its breakpoints, from ramp moments.  The board
+    # is sum_q w_q [x >= q1, y >= q2] over the lattice points q, with w the
+    # mixed second difference of the zero-padded board, and for u = (c, s)
+    # with c > 0 the chord at t meets that corner over (t - q.u)+ / (c s).
+    # Past pi/2 (c < 0) the board is minus sum_q w_q [x >= q1, y < q2], as
+    # w sums to 0 over each column, and the chord meets that corner over
+    # (q.u - t)+ / |c s|; since sum_q w_q (t - q.u) = 0 for every t, the
+    # profile is sum_q w_q (t - q.u)+ / (c s) in both quadrants.  At the
+    # breakpoint t = p.u that is (p1 A - B1) / s + (p2 A - B2) / c, with A,
+    # B1 and B2 the sums of w_q, w_q q1 and w_q q2 over the q sorted before
+    # p.  On a +-1 board |w| <= 4, so they are integers of at most
+    # 4n(n + 1)^2, far below 2^53, and exact: only the sort and the last
+    # three roundings depend on floats.
     n = c.n
-    ux, uy = direction.u  # uy > 0 and ux != 0 off-axis
-    tx = ts[:, None] * ux
-    ty = ts[:, None] * uy
-    # the chord point at s is (tx - s uy, ty + s ux); clip both coordinates
-    # to [0, n] for the in-board window [s_lo, s_hi]
-    if ux > 0:
-        y_lo, y_hi = -ty / ux, (n - ty) / ux
-    else:
-        y_lo, y_hi = (n - ty) / ux, -ty / ux
-    s_lo = np.maximum((tx - n) / uy, y_lo)
-    s_hi = np.maximum(np.minimum(tx / uy, y_hi), s_lo)
+    ux, uy = direction.u
     k = np.arange(n + 1, dtype=np.float64)
-    ev = np.concatenate([(tx - k) / uy, (k - ty) / ux], axis=1)
-    np.maximum(ev, s_lo, out=ev)
-    np.minimum(ev, s_hi, out=ev)
-    ev.sort(axis=1)
-    # piece p spans ev[:, p] .. ev[:, p+1]; its midpoint names its cell
-    mid = ev[:, :-1] + ev[:, 1:]
-    mid *= 0.5
-    x = tx - mid * uy
-    y = np.multiply(mid, ux, out=mid)
-    y += ty
-    for w in (x, y):
-        np.maximum(w, 0, out=w)
-        np.minimum(w, n - 1, out=w)
-    cell = x.astype(np.intp)
-    cell *= n
-    cell += y.astype(np.intp)
-    piece = c.cells.ravel().take(cell)
-    piece *= ev[:, 1:] - ev[:, :-1]
-    prefix = np.zeros_like(ev)  # prefix[:, p] = integral from s_lo to ev[:, p]
-    np.cumsum(piece, axis=1, out=prefix[:, 1:])
-    return ev, prefix
+    t = (ux * k[:, None] + uy * k[None, :]).ravel()  # as breakpoint_offsets
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    w = np.diff(np.diff(np.pad(c.cells, 1), axis=0), axis=1).ravel()[order]
+    q1, q2 = np.divmod(order, n + 1)
+    sums = np.zeros((3, t.size))  # exclusive: the q sorted before each point
+    np.cumsum([w[:-1], w[:-1] * q1[:-1], w[:-1] * q2[:-1]], axis=1, out=sums[:, 1:])
+    a, b1, b2 = sums
+    keep = np.empty(t.size, dtype=bool)  # the first point of each run
+    keep[0] = True
+    np.greater(t[1:] - t[:-1], _DEDUP, out=keep[1:])
+    return t[keep], ((q1 * a - b1) / uy + (q2 * a - b2) / ux)[keep]
 
 
 def project(c: Coloring, direction: Direction) -> Projection:
-    """Exact piecewise-linear offset profile t -> integral over the chord at t."""
-    scan = offset_scan(c, direction)
-    return Projection(direction, scan.offsets, scan.chord)
+    """Exact piecewise-linear offset profile t -> integral over the chord at t.
+
+    Off-axis the values come from integer ramp moments of the board (exact
+    sums on a +-1 board) at breakpoint_offsets; on the axes they are the
+    column or row sums of lattice_scan at its offsets.
+    """
+    if direction.is_axis():
+        scan = _axis_lattice_scan(c, direction)
+        return Projection(direction, scan.offsets, scan.chord)
+    return Projection(direction, *_ramp_profile(c, direction))
 
 
 def max_chord_in_direction(c: Coloring, direction: Direction) -> tuple[float, float]:
@@ -305,9 +277,12 @@ def max_chord_in_direction(c: Coloring, direction: Direction) -> tuple[float, fl
 
     The profile is piecewise linear in t (a step function on the axes, whose
     gridline values are the owned line sums), so |profile| attains its
-    maximum at a breakpoint; ties break toward smaller t.
+    maximum at a breakpoint of project; ties break toward smaller t.
     """
-    return offset_scan(c, direction).best_chord()
+    p = project(c, direction)
+    v = np.abs(p.values)
+    i = _first_max(v, tie_tolerance(c))
+    return float(p.breakpoints[i]), float(v[i])
 
 
 def max_segment_in_direction(c: Coloring, direction: Direction) -> tuple[Segment, float]:
@@ -316,8 +291,16 @@ def max_segment_in_direction(c: Coloring, direction: Direction) -> tuple[Segment
     Per offset, each prefix sum is linear in t between breakpoints and the
     prefix range (max minus min) is convex there, so breakpoint offsets are
     exact.  Ties break toward smaller offset, then smaller crossing index.
+    On the axes this is lattice_scan's best segment.  At other angles it is
+    the scalar walk of _walk_direction, one cell_crossings walk per
+    breakpoint chord: O(n^3) Python steps, about 18 ms at n = 16 and
+    0.65-0.8 s at n = 64 on a 2-core x86 host.  Every segment maximum over
+    all directions lies on a lattice direction, which search scans with
+    lattice_scan instead.
     """
-    return offset_scan(c, direction).best_segment()
+    if direction.is_axis():
+        return _axis_lattice_scan(c, direction).best_segment()
+    return _walk_direction(c, direction)[1]
 
 
 def lattice_scan(c: Coloring, dx: int, dy: int) -> OffsetScan:
@@ -497,10 +480,12 @@ def _steps(m, w, v, lo, hi):
 
 
 def _walk_direction(c: Coloring, direction: Direction):
-    # Scalar oracle, independent of both kernels: walk cell_crossings along
+    # Scalar oracle, independent of the kernels: walk cell_crossings along
     # the chord at every breakpoint (plus interval midpoints on the axes,
     # where the profile steps) and return ((t*, chord max), (witness,
-    # segment max)) with the same tie rules.
+    # segment max)) with the same tie rules.  Witness ends are clamped to
+    # [0, n] (+ 0.0, so that no -0.0 enters a report): a point along a
+    # float chord can round just off the board.
     tie = tie_tolerance(c)
     ts = breakpoint_offsets(c.n, direction)
     if direction.is_axis() and ts.size > 1:
@@ -520,7 +505,8 @@ def _walk_direction(c: Coloring, direction: Direction):
         arr = np.asarray(prefix)
         s_lo, s_hi = sorted(_witness(pos, arr, tie))
         chords.append(abs(acc))
-        segs.append((Segment(seg.point_at(s_lo), seg.point_at(s_hi)),
-                     float(arr.max() - arr.min())))
+        a, b = (tuple(min(max(x, 0.0), c.n) + 0.0 for x in seg.point_at(s))
+                for s in (s_lo, s_hi))
+        segs.append((Segment(a, b), float(arr.max() - arr.min())))
     i = _first_max(chords, tie)
     return (float(ts[i]), float(chords[i])), segs[_first_max([v for _, v in segs], tie)]

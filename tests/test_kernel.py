@@ -1,19 +1,23 @@
-"""Properties of radon's two kernels against the scalar cell walk.
+"""Properties of radon's kernels against the scalar cell walk.
 
-Hypothesis boards are +-1 or real with n from 1 to 12.  offset_scan is
-checked at generic angles, primitive lattice directions and both axes;
-generic angles stay 1e-3 away from the axes: near an axis the profile's
-slope grows like 1/sin, so both paths agree only to the conditioning of the
-offset itself.  Those boards have at most 169 breakpoints, one block of
-offset_scan, so fixed boards at n = 24 and 32 (625 and 1,089 breakpoints)
-check it across blocks and at several block sizes.  lattice_scan is checked
-at every primitive lattice direction, axes included, values and witnesses
-both.  On +-1 boards it is checked bit for bit against exact integers: every
-line's chord, top and bottom are integers times fl(|v|/den), and both
-witness ends are the exact rationals of an integer walk of the winning
-line, each rounded once; every witness end lies on the board.  orbit_scan,
-the search's batched call of the same kernel, is checked against
-lattice_scan bit for bit.
+Hypothesis boards are +-1 or real with n from 1 to 12.  project and the
+per-direction maxima are checked at generic angles, primitive lattice
+directions and both axes; generic angles stay 1e-3 away from the axes: near
+an axis the profile's slope grows like 1/sin, so the walk agrees only to
+the conditioning of the offset itself.  Fixed boards at n = 24 and 32 (625
+and 1,089 breakpoints) check them on larger profiles.  Off the axes the
+profile comes from ramp moments: its breakpoints are breakpoint_offsets bit
+for bit on any board and at any angle, and on +-1 boards (n <= 8, angles
+down to 1e-9 from either axis) each value is within a few ulps of the same
+sum in exact rationals.  lattice_scan is checked at every primitive lattice
+direction, axes included, values and witnesses both, and every line's
+chord, top and bottom against project and a cell_crossings walk.  On +-1
+boards it is checked bit for bit against exact integers: every line's
+chord, top and bottom are integers times fl(|v|/den), and both witness ends
+are the exact rationals of an integer walk of the winning line, each
+rounded once; every witness end lies on the board, at lattice directions
+and at generic angles.  orbit_scan, the search's batched call of the same
+kernel, is checked against lattice_scan bit for bit.
 """
 
 import math
@@ -26,9 +30,8 @@ from hypothesis import strategies as st
 
 from needleboard import radon
 from needleboard.board import Coloring, make_constant, make_parity, make_random, make_stripes
-from needleboard.geom import integrate
+from needleboard.geom import cell_crossings, integrate
 from needleboard.radon import (
-    _BLOCK,
     Chord,
     Direction,
     _walk_direction,
@@ -37,11 +40,10 @@ from needleboard.radon import (
     lattice_scan,
     max_chord_in_direction,
     max_segment_in_direction,
-    offset_scan,
     orbit_scan,
     project,
 )
-from needleboard.search import _lattice_directions, scan_report
+from needleboard.search import _lattice_directions, brute_force, scan_report
 
 _GAP = 1e-3  # generic angles keep this distance from 0, pi/2 and pi
 
@@ -108,32 +110,31 @@ def test_witnesses_integrate_to_the_reported_values(case):
     assert abs(abs(integrate(c, seg)) - vs) <= 1e-9 * c.n
 
 
-_MULTI_BLOCK_ANGLES = (0.3, 1.1, 2.0, 2.9)  # generic: every breakpoint distinct
+_LARGE_ANGLES = (0.3, 1.1, 2.0, 2.9)  # generic: every breakpoint distinct
 
 
-def _multi_block_board(n: int, real: bool) -> Coloring:
+def _large_board(n: int, real: bool) -> Coloring:
     if not real:
         return make_random(n, seed=n)
     return Coloring(n, np.random.default_rng(n).uniform(-4.0, 4.0, (n, n)))
 
 
-@pytest.mark.parametrize("theta", _MULTI_BLOCK_ANGLES)
+@pytest.mark.parametrize("theta", _LARGE_ANGLES)
 @pytest.mark.parametrize("n, real", [(24, False), (24, True), (32, False), (32, True)])
 def test_project_across_blocks_equals_chord_integrals(n, real, theta):
-    c, d = _multi_block_board(n, real), Direction(theta)
+    c, d = _large_board(n, real), Direction(theta)
     p = project(c, d)
-    assert p.breakpoints.size == (n + 1) ** 2 > _BLOCK
+    assert p.breakpoints.size == (n + 1) ** 2
     for k in range(0, p.breakpoints.size, 37):
         t = float(p.breakpoints[k])
         assert abs(p.values[k] - integrate(c, chord_segment(n, Chord(d, t)))) <= 1e-9 * n
 
 
-@pytest.mark.parametrize("theta", _MULTI_BLOCK_ANGLES)
+@pytest.mark.parametrize("theta", _LARGE_ANGLES)
 @pytest.mark.parametrize("n, real", [(24, False), (24, True), (32, False), (32, True)])
 def test_direction_maxima_across_blocks_equal_the_scalar_oracle(n, real, theta):
-    # values against the walk, and witnesses integrating to them; at these
-    # angles winners fall in every block (offset index 550, 648 and 994)
-    c, d = _multi_block_board(n, real), Direction(theta)
+    # values against the walk, and witnesses integrating to them
+    c, d = _large_board(n, real), Direction(theta)
     tol = 1e-9 * c.n
     (_, vc_walk), (_, vs_walk) = _walk_direction(c, d)
     t, vc = max_chord_in_direction(c, d)
@@ -142,24 +143,6 @@ def test_direction_maxima_across_blocks_equal_the_scalar_oracle(n, real, theta):
     assert abs(vs - vs_walk) <= tol
     assert abs(abs(integrate(c, chord_segment(c.n, Chord(d, t)))) - vc) <= tol
     assert abs(abs(integrate(c, seg)) - vs) <= tol
-
-
-@pytest.mark.parametrize("theta", _MULTI_BLOCK_ANGLES)
-@pytest.mark.parametrize("n, real", [(24, False), (24, True), (32, False), (32, True)])
-def test_offset_scan_does_not_depend_on_the_block_size(n, real, theta, monkeypatch):
-    # offset_scan rebuilds the winning line alone for its witness, so no
-    # row may depend on the block it is computed in
-    c, d = _multi_block_board(n, real), Direction(theta)
-    scans = []
-    for block in (1, 7, 512):
-        monkeypatch.setattr(radon, "_BLOCK", block)
-        scans.append(offset_scan(c, d))
-    first = scans[0]
-    for scan in scans[1:]:
-        for name in ("chord", "top", "bottom"):
-            assert (getattr(scan, name) == getattr(first, name)).all()
-        assert scan.best_chord() == first.best_chord()
-        assert scan.best_segment() == first.best_segment()
 
 
 @st.composite
@@ -192,37 +175,98 @@ def test_lattice_kernel_equals_the_scalar_oracle(case):
     assert max(abs(p - q) for p, q in zip(seg.a + seg.b, seg_walk.a + seg_walk.b)) <= tol
 
 
+def _prefix_range(c, seg):
+    # the largest and smallest prefix integrals of a cell_crossings walk of
+    # seg from its start, the empty prefix (0) included
+    prefix = np.cumsum([0.0] + [c.cells[e.i, e.j] * e.length for e in cell_crossings(seg, c.n)])
+    return prefix.max(), prefix.min()
+
+
 @settings(max_examples=50)
 @given(lattice_cases())
-def test_lattice_chords_equal_offset_scan_at_every_breakpoint(case):
-    # every line's chord value and prefix range, not only the best
+def test_lattice_chords_equal_project_and_the_walk_at_every_line(case):
+    # every line, not only the best: its chord against project (the ramp
+    # profile off the axes), its top and bottom against a cell_crossings
+    # walk of the line's chord_segment
     c, v = case
+    tol = 1e-9 * c.n
     d = Direction.along(*v)
     scan = lattice_scan(c, *v)
-    ref = offset_scan(c, d)
-    for a, b in zip(scan[3:6], ref[3:6]):
-        assert np.max(np.abs(a - b)) <= 1e-9 * c.n
+    p = project(c, d)
+    assert np.max(np.abs(scan.offsets - p.breakpoints)) <= tol
+    assert np.max(np.abs(scan.chord - p.values)) <= tol
+    walks = np.array([_prefix_range(c, chord_segment(c.n, Chord(d, t)))
+                      for t in scan.offsets.tolist()])
+    assert np.max(np.abs(scan.top - walks[:, 0])) <= tol
+    assert np.max(np.abs(scan.bottom - walks[:, 1])) <= tol
+
+
+@st.composite
+def sign_boards(draw, max_n):
+    # a +-1 board: random, constant, parity or stripes
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(["random", "constant", "parity", "stripes"]))
+    if kind == "random":
+        return Coloring(n, np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n * n,
+                                                  max_size=n * n))).reshape(n, n))
+    if kind == "constant":
+        return make_constant(n, draw(st.sampled_from([-1.0, 1.0])))
+    if kind == "parity":
+        return make_parity(n)
+    return make_stripes(n, draw(st.sampled_from(["horizontal", "vertical"])))
 
 
 @st.composite
 def sign_lattice_cases(draw):
-    # a +-1 board (random, constant, parity or stripes) and any primitive
-    # (dx, dy) with |dx|, |dy| <= n, either sign, both axes
-    n = draw(st.integers(1, 12))
-    kind = draw(st.sampled_from(["random", "constant", "parity", "stripes"]))
-    if kind == "random":
-        c = Coloring(n, np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]),
-                                                min_size=n * n, max_size=n * n))).reshape(n, n))
-    elif kind == "constant":
-        c = make_constant(n, draw(st.sampled_from([-1.0, 1.0])))
-    elif kind == "parity":
-        c = make_parity(n)
-    else:
-        c = make_stripes(n, draw(st.sampled_from(["horizontal", "vertical"])))
-    dx = draw(st.integers(-n, n))
-    dy = draw(st.integers(-n, n).filter(lambda y: y or dx))
+    # a +-1 board and any primitive (dx, dy) with |dx|, |dy| <= n, either
+    # sign, both axes
+    c = draw(sign_boards(12))
+    dx = draw(st.integers(-c.n, c.n))
+    dy = draw(st.integers(-c.n, c.n).filter(lambda y: y or dx))
     g = math.gcd(dx, dy)
     return c, (dx // g, dy // g)
+
+
+_NEAR = 1e-9  # off-axis angles come this close to an axis
+_OFF_AXIS = (st.floats(_NEAR, math.pi / 2 - _NEAR)
+             | st.floats(math.pi / 2 + _NEAR, math.pi - _NEAR)
+             | st.sampled_from([_NEAR, math.pi / 2 - _NEAR, math.pi / 2 + _NEAR, math.pi - _NEAR]))
+
+
+@settings(max_examples=100)
+@given(boards(), _OFF_AXIS)
+def test_ramp_breakpoints_are_breakpoint_offsets_bit_for_bit(c, theta):
+    d = Direction(theta)
+    assert project(c, d).breakpoints.tobytes() == breakpoint_offsets(c.n, d).tobytes()
+
+
+@settings(max_examples=100)
+@given(sign_boards(8), _OFF_AXIS)
+def test_ramp_profile_is_the_exact_ramp_sum_on_sign_boards(c, theta):
+    # At a breakpoint b the profile is the sum, over the lattice points q
+    # sorted before b (float projection below b, computed as
+    # breakpoint_offsets does), of w_q ((p1 - q1) / s + (p2 - q2) / c) for
+    # the point p of projection b; w is the mixed second difference of the
+    # zero-padded board.  In Fractions at the float c and s that is
+    # X / s + Y / c with integers X and Y, and the float route rounds only
+    # the two quotients and their sum: within a few ulps of |X/s| + |Y/c|.
+    # Points whose float projections tie give values a rounding apart, so
+    # one of them must match.
+    n, d = c.n, Direction(theta)
+    ux, uy = d.u
+    w = np.diff(np.diff(np.pad(c.cells, 1), axis=0), axis=1).astype(int)
+    pts = [(k1, k2, ux * k1 + uy * k2, int(w[k1, k2]))
+           for k1 in range(n + 1) for k2 in range(n + 1)]
+    p = project(c, d)
+    for b, value in zip(p.breakpoints.tolist(), p.values.tolist()):
+        before = [(q1, q2, wq) for q1, q2, t, wq in pts if t < b]
+        near = []
+        for p1, p2, _, _ in (q for q in pts if q[2] == b):
+            x = sum(wq * (p1 - q1) for q1, _, wq in before)
+            y = sum(wq * (p2 - q2) for _, q2, wq in before)
+            exact = Fraction(x) / Fraction(uy) + Fraction(y) / Fraction(ux)
+            near.append(abs(Fraction(value) - exact) <= 4 * math.ulp(abs(x / uy) + abs(y / ux)))
+        assert any(near), (b, value)
 
 
 def _exact_line(c, m, w, v, den):
@@ -285,6 +329,19 @@ def test_lattice_witness_ends_lie_on_the_board(n):
         segs.append(scan_report(c).best_segment[0])
         for seg in segs:
             assert all(0.0 <= p <= n for p in seg.a + seg.b), seg
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_direction_witness_ends_lie_on_the_board(n):
+    # the same boards at 30 seeded angles: the ends of every
+    # max_segment_in_direction witness, and of brute_force's, lie in
+    # [0, n]^2, and none is -0.0
+    angles = np.random.default_rng(n).uniform(0.0, math.pi, 30).tolist()
+    for c in (make_parity(n), make_random(n, seed=n), make_constant(n, 1.0)):
+        segs = [max_segment_in_direction(c, Direction(theta))[0] for theta in angles]
+        segs.append(brute_force(c).best_segment[0])
+        for seg in segs:
+            assert all(0.0 <= p <= n and math.copysign(1.0, p) > 0 for p in seg.a + seg.b), seg
 
 
 @st.composite

@@ -40,8 +40,9 @@ from needleboard.spectral import certified_lower_bound
 
 
 def test_vectorized_direction_scan_matches_scalar_path():
-    # generic angles (and the axes as angles) run offset_scan through
-    # max_*_in_direction; every lattice pair, axes included, runs
+    # generic angles run the ramp profile (chords) and the scalar walk
+    # (segments) through max_*_in_direction, the axes as angles run
+    # lattice_scan there; every lattice pair, axes included, runs
     # lattice_scan
     rng = np.random.default_rng(3)
     for n, seed in ((2, 1), (4, 3), (6, 0), (8, 9)):
@@ -64,8 +65,9 @@ def test_vectorized_direction_scan_matches_scalar_path():
 
 def test_tie_heavy_boards_pick_the_same_witnesses_on_both_routes():
     # Boards whose chords and prefixes tie exactly: every direction's
-    # lattice_scan winners (search route) equal the offset_scan winners of
-    # max_*_in_direction, and scan_report reports one of them.
+    # lattice_scan winners (search route) equal the winners of
+    # max_*_in_direction (the ramp profile and the scalar walk off the
+    # axes), and scan_report reports one of them.
     for n in range(2, 13):
         tol = 1e-12 * n
         for c in (make_constant(n, +1), make_parity(n), make_stripes(n, "horizontal"),
@@ -216,7 +218,7 @@ def test_brute_force_never_reaches_the_kernel(monkeypatch):
     def kernel(*args):
         raise AssertionError("brute_force reached a kernel")
 
-    monkeypatch.setattr(radon, "offset_scan", kernel)
+    monkeypatch.setattr(radon, "_ramp_profile", kernel)
     monkeypatch.setattr(radon, "lattice_scan", kernel)
     monkeypatch.setattr(search, "lattice_scan", kernel)
     monkeypatch.setattr(search, "orbit_scan", kernel)
