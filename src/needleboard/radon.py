@@ -149,15 +149,24 @@ def chord_segment(n: int, ch: Chord) -> Segment:
     return Segment((px + lo * vx, py + lo * vy), (px + hi * vx, py + hi * vy))
 
 
-def breakpoint_offsets(n: int, direction: Direction) -> np.ndarray:
-    """Sorted, deduplicated projections p.u of all lattice points p in {0..n}^2."""
+def _projections(n: int, direction: Direction):
+    # The projections p.u of the lattice points p in {0..n}^2, sorted; their
+    # order (point k1 * (n + 1) + k2 is (k1, k2)); and the mask keeping the
+    # first point of each run closer than _DEDUP.
     ux, uy = direction.u
     k = np.arange(n + 1, dtype=np.float64)
     t = (ux * k[:, None] + uy * k[None, :]).ravel()
-    t.sort()
+    order = np.argsort(t, kind="stable")
+    t = t[order]
     keep = np.empty(t.size, dtype=bool)
     keep[0] = True
     np.greater(t[1:] - t[:-1], _DEDUP, out=keep[1:])
+    return t, order, keep
+
+
+def breakpoint_offsets(n: int, direction: Direction) -> np.ndarray:
+    """Sorted, deduplicated projections p.u of all lattice points p in {0..n}^2."""
+    t, _, keep = _projections(n, direction)
     return t[keep]
 
 
@@ -242,20 +251,13 @@ def _ramp_profile(c: Coloring, direction: Direction):
     # p.  On a +-1 board |w| <= 4, so they are integers of at most
     # 4n(n + 1)^2, far below 2^53, and exact: only the sort and the last
     # three roundings depend on floats.
-    n = c.n
     ux, uy = direction.u
-    k = np.arange(n + 1, dtype=np.float64)
-    t = (ux * k[:, None] + uy * k[None, :]).ravel()  # as breakpoint_offsets
-    order = np.argsort(t, kind="stable")
-    t = t[order]
+    t, order, keep = _projections(c.n, direction)
     w = np.diff(np.diff(np.pad(c.cells, 1), axis=0), axis=1).ravel()[order]
-    q1, q2 = np.divmod(order, n + 1)
+    q1, q2 = np.divmod(order, c.n + 1)
     sums = np.zeros((3, t.size))  # exclusive: the q sorted before each point
     np.cumsum([w[:-1], w[:-1] * q1[:-1], w[:-1] * q2[:-1]], axis=1, out=sums[:, 1:])
     a, b1, b2 = sums
-    keep = np.empty(t.size, dtype=bool)  # the first point of each run
-    keep[0] = True
-    np.greater(t[1:] - t[:-1], _DEDUP, out=keep[1:])
     return t[keep], ((q1 * a - b1) / uy + (q2 * a - b2) / ux)[keep]
 
 

@@ -415,20 +415,19 @@ def test_monte_carlo_far_segment_writes_nothing_to_stderr(tmp_path):
     assert run.stderr == b""
 
 
-def test_reports_byte_identical_across_runs_and_threads(tmp_path):
+def test_threads_from_the_environment_give_the_one_thread_report(tmp_path):
+    # criterion 10 compares --threads 1 and 4; this adds NEEDLEBOARD_THREADS
     board = _board_file(tmp_path, make_random(8, 11))
     commands = [
         ["search", "--board", board, "--angles", "128"],
         ["verify-upper", "--ns", "4,8", "--trials", "2", "--seed", "7"],
     ]
     for argv in commands:
-        first = _cli(argv + ["--threads", "1"])
-        again = _cli(argv + ["--threads", "1"])
-        wide = _cli(argv + ["--threads", "4"])
+        one = _cli(argv + ["--threads", "1"])
         via_env = _cli(argv, env={"NEEDLEBOARD_THREADS": "4"})
-        for run in (first, again, wide, via_env):
+        for run in (one, via_env):
             assert run.returncode == 0, run.stderr.decode()
-        assert first.stdout == again.stdout == wide.stdout == via_env.stdout
+        assert one.stdout == via_env.stdout
 
 
 def test_report_matrix_calls_parse_and_cover_every_subcommand():

@@ -1,11 +1,15 @@
 """Properties of radon's kernels against the scalar cell walk.
 
-Hypothesis boards are +-1 or real with n from 1 to 12.  project and the
-per-direction maxima are checked at generic angles, primitive lattice
-directions and both axes; generic angles stay 1e-3 away from the axes: near
-an axis the profile's slope grows like 1/sin, so the walk agrees only to
-the conditioning of the offset itself.  Fixed boards at n = 24 and 32 (625
-and 1,089 breakpoints) check them on larger profiles.  Off the axes the
+Hypothesis boards have n from 1 to 12 and are random +-1, tie-heavy +-1
+(constant, parity or stripes) or real; boards() is the suite's one board
+strategy.  project, the chord maximum (against the walk) and both
+per-direction witnesses (against integrate) are checked at generic angles,
+primitive lattice directions and both axes; generic angles stay 1e-3 away
+from the axes: near an axis the profile's slope grows like 1/sin, so the
+walk agrees only to the conditioning of the offset itself.  Fixed boards
+at n = 24 and 32 (625 and 1,089 breakpoints) check them on larger
+profiles; the "across_blocks" in their names is historical (the kernel no
+longer works in blocks).  Off the axes the
 profile comes from ramp moments: its breakpoints are breakpoint_offsets bit
 for bit on any board and at any angle, and on +-1 boards (n <= 8, angles
 down to 1e-9 from either axis) each value is within a few ulps of the same
@@ -49,12 +53,20 @@ _GAP = 1e-3  # generic angles keep this distance from 0, pi/2 and pi
 
 
 @st.composite
-def boards(draw):
-    n = draw(st.integers(1, 12))
-    cell = draw(st.sampled_from([
-        st.sampled_from([-1.0, 1.0]),
-        st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
-    ]))
+def boards(draw, max_n=12, real=True):
+    # a board with n <= max_n: random +-1 cells, a tie-heavy +-1 board
+    # (constant, parity or stripes) or, if real, uniform real cells
+    n = draw(st.integers(1, max_n))
+    kinds = ["random", "constant", "parity", "stripes"] + (["real"] if real else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "constant":
+        return make_constant(n, draw(st.sampled_from([-1.0, 1.0])))
+    if kind == "parity":
+        return make_parity(n)
+    if kind == "stripes":
+        return make_stripes(n, draw(st.sampled_from(["horizontal", "vertical"])))
+    cell = (st.sampled_from([-1.0, 1.0]) if kind == "random"
+            else st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
     values = draw(st.lists(cell, min_size=n * n, max_size=n * n))
     return Coloring(n, np.array(values).reshape(n, n))
 
@@ -91,13 +103,13 @@ def test_project_equals_chord_integrals_at_every_breakpoint(case):
 
 @settings(max_examples=100)
 @given(cases())
-def test_direction_maxima_equal_the_scalar_oracle(case):
+def test_direction_chord_maximum_equals_the_scalar_oracle(case):
+    # the segment maximum is the walk itself off the axes and lattice_scan
+    # on them, which test_lattice_kernel_equals_the_scalar_oracle checks
     c, d = case
-    (_, vc_walk), (_, vs_walk) = _walk_direction(c, d)
+    (_, vc_walk), _ = _walk_direction(c, d)
     _, vc = max_chord_in_direction(c, d)
-    _, vs = max_segment_in_direction(c, d)
     assert abs(vc - vc_walk) <= 1e-9 * c.n
-    assert abs(vs - vs_walk) <= 1e-9 * c.n
 
 
 @settings(max_examples=100)
@@ -133,22 +145,22 @@ def test_project_across_blocks_equals_chord_integrals(n, real, theta):
 @pytest.mark.parametrize("theta", _LARGE_ANGLES)
 @pytest.mark.parametrize("n, real", [(24, False), (24, True), (32, False), (32, True)])
 def test_direction_maxima_across_blocks_equal_the_scalar_oracle(n, real, theta):
-    # values against the walk, and witnesses integrating to them
+    # the chord maximum against one walk, which is max_segment_in_direction
+    # at these angles, and both witnesses integrating to their values
     c, d = _large_board(n, real), Direction(theta)
     tol = 1e-9 * c.n
-    (_, vc_walk), (_, vs_walk) = _walk_direction(c, d)
+    (_, vc_walk), (seg, vs) = _walk_direction(c, d)
     t, vc = max_chord_in_direction(c, d)
-    seg, vs = max_segment_in_direction(c, d)
     assert abs(vc - vc_walk) <= tol
-    assert abs(vs - vs_walk) <= tol
     assert abs(abs(integrate(c, chord_segment(c.n, Chord(d, t)))) - vc) <= tol
     assert abs(abs(integrate(c, seg)) - vs) <= tol
 
 
 @st.composite
-def lattice_cases(draw):
-    # any primitive (dx, dy) with |dx|, |dy| <= n, either sign, both axes
-    c = draw(boards())
+def lattice_cases(draw, real=True):
+    # a board and any primitive (dx, dy) with |dx|, |dy| <= n, either sign,
+    # both axes
+    c = draw(boards(real=real))
     dx = draw(st.integers(-c.n, c.n))
     dy = draw(st.integers(-c.n, c.n).filter(lambda y: y or dx))
     g = math.gcd(dx, dy)
@@ -201,32 +213,6 @@ def test_lattice_chords_equal_project_and_the_walk_at_every_line(case):
     assert np.max(np.abs(scan.bottom - walks[:, 1])) <= tol
 
 
-@st.composite
-def sign_boards(draw, max_n):
-    # a +-1 board: random, constant, parity or stripes
-    n = draw(st.integers(1, max_n))
-    kind = draw(st.sampled_from(["random", "constant", "parity", "stripes"]))
-    if kind == "random":
-        return Coloring(n, np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n * n,
-                                                  max_size=n * n))).reshape(n, n))
-    if kind == "constant":
-        return make_constant(n, draw(st.sampled_from([-1.0, 1.0])))
-    if kind == "parity":
-        return make_parity(n)
-    return make_stripes(n, draw(st.sampled_from(["horizontal", "vertical"])))
-
-
-@st.composite
-def sign_lattice_cases(draw):
-    # a +-1 board and any primitive (dx, dy) with |dx|, |dy| <= n, either
-    # sign, both axes
-    c = draw(sign_boards(12))
-    dx = draw(st.integers(-c.n, c.n))
-    dy = draw(st.integers(-c.n, c.n).filter(lambda y: y or dx))
-    g = math.gcd(dx, dy)
-    return c, (dx // g, dy // g)
-
-
 _NEAR = 1e-9  # off-axis angles come this close to an axis
 _OFF_AXIS = (st.floats(_NEAR, math.pi / 2 - _NEAR)
              | st.floats(math.pi / 2 + _NEAR, math.pi - _NEAR)
@@ -241,7 +227,7 @@ def test_ramp_breakpoints_are_breakpoint_offsets_bit_for_bit(c, theta):
 
 
 @settings(max_examples=100)
-@given(sign_boards(8), _OFF_AXIS)
+@given(boards(8, real=False), _OFF_AXIS)
 def test_ramp_profile_is_the_exact_ramp_sum_on_sign_boards(c, theta):
     # At a breakpoint b the profile is the sum, over the lattice points q
     # sorted before b (float projection below b, computed as
@@ -289,7 +275,7 @@ def _exact_line(c, m, w, v, den):
 
 
 @settings(max_examples=200)
-@given(sign_lattice_cases())
+@given(lattice_cases(real=False))
 def test_lattice_witness_is_the_exact_integer_pick(case):
     # On a +-1 board every prefix along a lattice line is an integer times
     # |v| / den.  So every line's chord, top and bottom are its exact

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from needleboard.board import (
     Coloring,
@@ -22,8 +21,6 @@ from needleboard.radon import (
     _first_max,
     _walk_direction,
     lattice_scan,
-    max_chord_in_direction,
-    max_segment_in_direction,
     tie_tolerance,
 )
 from needleboard.search import (
@@ -37,56 +34,27 @@ from needleboard.search import (
     _scan,
 )
 from needleboard.spectral import certified_lower_bound
-
-
-def test_vectorized_direction_scan_matches_scalar_path():
-    # generic angles run the ramp profile (chords) and the scalar walk
-    # (segments) through max_*_in_direction, the axes as angles run
-    # lattice_scan there; every lattice pair, axes included, runs
-    # lattice_scan
-    rng = np.random.default_rng(3)
-    for n, seed in ((2, 1), (4, 3), (6, 0), (8, 9)):
-        c = make_random(n, seed)
-        thetas = list(rng.uniform(0.01, math.pi - 0.01, 6)) + [0.0, math.pi / 2]
-        for theta in thetas:
-            d = Direction(float(theta))
-            _, vc_fast = max_chord_in_direction(c, d)
-            _, vs_fast = max_segment_in_direction(c, d)
-            (_, vc_exact), (_, vs_exact) = _walk_direction(c, d)
-            assert vc_fast == pytest.approx(vc_exact, abs=1e-12)
-            assert vs_fast == pytest.approx(vs_exact, abs=1e-12)
-        for v in _lattice_directions(n):
-            scan = lattice_scan(c, *v)
-            (_, vc_fast), (_, vs_fast) = scan.best_chord(), scan.best_segment()
-            (_, vc_exact), (_, vs_exact) = _walk_direction(c, Direction.along(*v))
-            assert vc_fast == pytest.approx(vc_exact, abs=1e-12)
-            assert vs_fast == pytest.approx(vs_exact, abs=1e-12)
+from test_kernel import boards
 
 
 def test_tie_heavy_boards_pick_the_same_witnesses_on_both_routes():
-    # Boards whose chords and prefixes tie exactly: every direction's
-    # lattice_scan winners (search route) equal the winners of
-    # max_*_in_direction (the ramp profile and the scalar walk off the
-    # axes), and scan_report reports one of them.
+    # Boards whose chords and prefixes tie exactly: at the two directions
+    # scan_report picks, its winners are the scalar walk's, witnesses
+    # included.
     for n in range(2, 13):
         tol = 1e-12 * n
         for c in (make_constant(n, +1), make_parity(n), make_stripes(n, "horizontal"),
                   make_stripes(n, "vertical")):
-            dirs = _lattice_directions(n)
+            dirs, _, segs = _scan(c, None)
             rep = scan_report(c)
-            results = [(s.best_chord(), s.best_segment())
-                       for s in (lattice_scan(c, *v) for v in dirs)]
-            for v, ((t, vc), (seg, vs)) in zip(dirs, results):
-                d = Direction.along(*v)
-                t_ref, vc_ref = max_chord_in_direction(c, d)
-                seg_ref, vs_ref = max_segment_in_direction(c, d)
-                assert abs(t - t_ref) <= tol and abs(vc - vc_ref) <= tol
-                assert abs(vs - vs_ref) <= tol
-                assert max(abs(p - q) for p, q in zip(seg.a + seg.b, seg_ref.a + seg_ref.b)) <= tol
             ch, vc = rep.best_chord
-            k = [Direction.along(*v) for v in dirs].index(ch.direction)
-            assert (ch.t, vc) == results[k][0]
-            assert rep.best_segment in [r[1] for r in results]
+            (t_walk, vc_walk), _ = _walk_direction(c, ch.direction)
+            assert abs(ch.t - t_walk) <= tol and abs(vc - vc_walk) <= tol
+            d = Direction.along(*dirs[_first_max(segs, tie_tolerance(c))])
+            _, (seg_walk, vs_walk) = _walk_direction(c, d)
+            seg, vs = rep.best_segment
+            assert abs(vs - vs_walk) <= tol
+            assert max(abs(p - q) for p, q in zip(seg.a + seg.b, seg_walk.a + seg_walk.b)) <= tol
 
 
 def _per_direction_route(c, angles):
@@ -141,19 +109,8 @@ def test_search_builds_witnesses_only_for_the_winners(monkeypatch):
             assert 1 <= len(calls) <= most
 
 
-@st.composite
-def boards(draw):
-    n = draw(st.integers(1, 9))
-    cell = draw(st.sampled_from([
-        st.sampled_from([-1.0, 1.0]),
-        st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
-    ]))
-    values = draw(st.lists(cell, min_size=n * n, max_size=n * n))
-    return Coloring(n, np.array(values).reshape(n, n))
-
-
 @settings(max_examples=40)
-@given(boards())
+@given(boards(9))
 def test_scan_report_is_invariant_under_the_dihedral_group(c):
     # the 8 symmetries of the square move every chord and segment onto one
     # of the same length and integral; the values agree within the tie
