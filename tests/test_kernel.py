@@ -1,19 +1,17 @@
 """Properties of radon's kernels against the scalar cell walk.
 
-Hypothesis boards have n from 1 to 12 and are random +-1, tie-heavy +-1
-(constant, parity or stripes) or real; boards() is the suite's one board
-strategy.  project, the chord maximum (against the walk) and both
+Hypothesis boards (strategies.boards, shared with the search tests) have n
+from 1 to 12 and are random +-1, tie-heavy +-1 (constant, parity or
+stripes) or real.  project, the chord maximum (against the walk) and both
 per-direction witnesses (against integrate) are checked at generic angles,
 primitive lattice directions and both axes; generic angles stay 1e-3 away
 from the axes: near an axis the profile's slope grows like 1/sin, so the
 walk agrees only to the conditioning of the offset itself.  Fixed boards
 at n = 24 and 32 (625 and 1,089 breakpoints) check them on larger
-profiles; the "across_blocks" in their names is historical (the kernel no
-longer works in blocks).  Off the axes the
-profile comes from ramp moments: its breakpoints are breakpoint_offsets bit
-for bit on any board and at any angle, and on +-1 boards (n <= 8, angles
-down to 1e-9 from either axis) each value is within a few ulps of the same
-sum in exact rationals.  lattice_scan is checked at every primitive lattice
+profiles.  Off the axes the profile comes from ramp moments: its
+breakpoints are breakpoint_offsets bit for bit on any board and at any
+angle, and on +-1 boards (n <= 8, angles down to 1e-9 from either axis)
+each value is within a few ulps of the same sum in exact rationals.  lattice_scan is checked at every primitive lattice
 direction, axes included, values and witnesses both, and every line's
 chord, top and bottom against project and a cell_crossings walk.  On +-1
 boards it is checked bit for bit against exact integers: every line's
@@ -33,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from needleboard import radon
-from needleboard.board import Coloring, make_constant, make_parity, make_random, make_stripes
+from needleboard.board import Coloring, make_constant, make_parity, make_random
 from needleboard.geom import cell_crossings, integrate
 from needleboard.radon import (
     Chord,
@@ -48,27 +46,9 @@ from needleboard.radon import (
     project,
 )
 from needleboard.search import _lattice_directions, brute_force, scan_report
+from strategies import boards
 
 _GAP = 1e-3  # generic angles keep this distance from 0, pi/2 and pi
-
-
-@st.composite
-def boards(draw, max_n=12, real=True):
-    # a board with n <= max_n: random +-1 cells, a tie-heavy +-1 board
-    # (constant, parity or stripes) or, if real, uniform real cells
-    n = draw(st.integers(1, max_n))
-    kinds = ["random", "constant", "parity", "stripes"] + (["real"] if real else [])
-    kind = draw(st.sampled_from(kinds))
-    if kind == "constant":
-        return make_constant(n, draw(st.sampled_from([-1.0, 1.0])))
-    if kind == "parity":
-        return make_parity(n)
-    if kind == "stripes":
-        return make_stripes(n, draw(st.sampled_from(["horizontal", "vertical"])))
-    cell = (st.sampled_from([-1.0, 1.0]) if kind == "random"
-            else st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
-    values = draw(st.lists(cell, min_size=n * n, max_size=n * n))
-    return Coloring(n, np.array(values).reshape(n, n))
 
 
 @st.composite

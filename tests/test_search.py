@@ -21,6 +21,7 @@ from needleboard.radon import (
     _first_max,
     _walk_direction,
     lattice_scan,
+    max_chord_in_direction,
     tie_tolerance,
 )
 from needleboard.search import (
@@ -34,25 +35,31 @@ from needleboard.search import (
     _scan,
 )
 from needleboard.spectral import certified_lower_bound
-from test_kernel import boards
+from strategies import boards
 
 
 def test_tie_heavy_boards_pick_the_same_witnesses_on_both_routes():
-    # Boards whose chords and prefixes tie exactly: at the two directions
-    # scan_report picks, its winners are the scalar walk's, witnesses
-    # included.
+    # Boards whose chords and prefixes tie exactly: at every lattice
+    # direction lattice_scan picks the ramp profile's chord, offset included,
+    # and at the two directions scan_report picks its winners are the scalar
+    # walk's, witnesses included.
     for n in range(2, 13):
         tol = 1e-12 * n
+        dirs = _lattice_directions(n)
         for c in (make_constant(n, +1), make_parity(n), make_stripes(n, "horizontal"),
                   make_stripes(n, "vertical")):
-            dirs, _, segs = _scan(c, None)
+            for v in dirs:
+                t, vc = lattice_scan(c, *v).best_chord()
+                t_ramp, vc_ramp = max_chord_in_direction(c, Direction.along(*v))
+                assert abs(t - t_ramp) <= tol and abs(vc - vc_ramp) <= tol
             rep = scan_report(c)
             ch, vc = rep.best_chord
             (t_walk, vc_walk), _ = _walk_direction(c, ch.direction)
             assert abs(ch.t - t_walk) <= tol and abs(vc - vc_walk) <= tol
-            d = Direction.along(*dirs[_first_max(segs, tie_tolerance(c))])
-            _, (seg_walk, vs_walk) = _walk_direction(c, d)
             seg, vs = rep.best_segment
+            ex, ey = seg.b[0] - seg.a[0], seg.b[1] - seg.a[1]
+            v = min(dirs, key=lambda v: abs(v[0] * ey - v[1] * ex) / math.hypot(*v))
+            _, (seg_walk, vs_walk) = _walk_direction(c, Direction.along(*v))
             assert abs(vs - vs_walk) <= tol
             assert max(abs(p - q) for p, q in zip(seg.a + seg.b, seg_walk.a + seg_walk.b)) <= tol
 
