@@ -87,6 +87,8 @@ def calls() -> list[tuple[str, list[str]]]:
         ("verify-upper", ["verify-upper", "--ns", "4,8", "--trials", "2", "--seed", "7"]),
         ("verify-upper-csv", ["verify-upper", "--ns", "6", "--trials", "2", "--seed", "8",
                               "--format", "csv"]),
+        # past about n = 90 an orbit's boards no longer fit one kernel stack
+        ("verify-upper-96", ["verify-upper", "--ns", "96", "--trials", "1", "--seed", "9"]),
         ("perturb", ["perturb", "--n", "8", "--trials", "200", "--seed", "3"]),
     ]
     return out

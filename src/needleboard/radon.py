@@ -21,16 +21,20 @@ of its top, and of its bottom.
   shifted sums over the zero-padded board, with no float sort, clip or
   deduplication, for a stack of boards at once.  It sums integer piece
   lengths and scales by |v|/den once, so on a +-1 board chord, top and
-  bottom are exact integers times fl(|v|/den).  Axis chords run along
-  columns or rows and may lie on gridlines; the piece offset d = (0, 0) or
-  (-1, 0) gives them half-open ownership: the gridline t = k belongs to
-  line k and t = n to none, so the profile steps at integer offsets instead
-  of staying continuous.
+  bottom are exact integers times fl(|v|/den).  The sums along each line
+  are taken in place, one block of lattice points after another, and read
+  off at the line's ends; every array the size of the lattice box is
+  carved from one float buffer that the caller passes in.  Axis chords run
+  along columns or rows and may lie on gridlines; the piece offset d =
+  (0, 0) or (-1, 0) gives them half-open ownership: the gridline t = k
+  belongs to line k and t = n to none, so the profile steps at integer
+  offsets instead of staying continuous.
 - orbit_scan runs the core once per dihedral orbit {(+-a, b), (+-b, a)} of
-  the direction search: each member's board is moved by the signed
-  permutation that carries the member onto one common vector, which keeps
-  every piece and its order, so its chord and prefix arrays equal
-  lattice_scan's bit for bit.  It builds no witnesses.
+  the direction search, over all of a scan's orbits in one call and one
+  buffer: each member's board is moved by the signed permutation that
+  carries the member onto one common vector, which keeps every piece and
+  its order, so its chord and prefix arrays equal lattice_scan's bit for
+  bit.  It builds no witnesses.
 - lattice_scan is the core's call for one board and one direction, plus the
   witness of the best segment, walked on the winning line alone in exact
   integers.  It serves the search's two winners and the two axis directions
@@ -62,8 +66,9 @@ _HALF_PI = math.pi / 2
 _AXIS_SNAP = 1e-12  # angles this close to 0 or pi/2 are treated as exact
 _DEDUP = 1e-12  # breakpoint collision tolerance (absolute)
 _TIE = 1e-12  # ties: see tie_tolerance
-# box points per _lattice_core pass over a stack of boards: its loop touches
-# about five arrays of this many floats (1.3 MB), which stay in a 2 MB L2
+# box points per _lattice_core pass over a stack of boards: the pass carves
+# five arrays of about this many floats from its buffer (pad, acc, hi, lo
+# and tmp: 1.3 MB), which stay in a 2 MB L2
 _STACK = 1 << 15
 
 
@@ -317,7 +322,7 @@ def lattice_scan(c: Coloring, dx: int, dy: int) -> OffsetScan:
     if math.gcd(dx, dy) != 1:
         raise ValueError(f"lattice direction must be primitive, got ({dx}, {dy})")
     dx, dy = _along_uperp(dx, dy)
-    m, w, (chord, top, bottom) = _lattice_core(c.cells[None], dx, dy)
+    m, w, (chord, top, bottom), _ = _lattice_core([c.cells], dx, dy, np.empty(0))
     den = max(abs(dx), 1) * max(abs(dy), 1)
     ln = math.sqrt(dx * dx + dy * dy)
 
@@ -346,36 +351,44 @@ def lattice_scan(c: Coloring, dx: int, dy: int) -> OffsetScan:
                       Segment(a, b))
 
 
-def orbit_scan(c: Coloring, vecs) -> np.ndarray:
-    """Chord, top and bottom per line of the lattice directions `vecs` at once.
+def orbit_scan(c: Coloring, orbits):
+    """Chord, top and bottom per line of each orbit's lattice directions.
 
-    The directions form (part of) one dihedral orbit {(+-a, b), (+-b, a)}.
-    Each v (signed to point along uperp) is carried onto the first one's
-    signed vector V by the signed permutation g with g v = V, and the board
-    by the same g, so each v keeps its pieces and their order: one
-    _lattice_core pass over the stack of moved boards serves them all (or a
-    few passes, past about n = 90, to keep each stack within _STACK box
-    points).  The lines come back by m -> det(g)*m + const, reversed where
-    det(g) = -1.
+    Each entry of `orbits` lists directions of (part of) one dihedral orbit
+    {(+-a, b), (+-b, a)}.  Each v (signed to point along uperp) is carried
+    onto the orbit's signed vector V with |V_x| >= |V_y| by the signed
+    permutation g with g v = V, and the board by the same g, so each v
+    keeps its pieces and their order: one _lattice_core pass over the stack
+    of moved boards serves them all (or a few passes, past about n = 90, to
+    keep each stack within _STACK box points).  The lines come back by
+    m -> det(g)*m + const, reversed where det(g) = -1.  Every pass of the
+    scan works in one buffer, which at least doubles when a stack needs
+    more, so a scan grows it a few times, not once per orbit.
 
-    Returns a (3, len(vecs), lines) array: row [:, k] equals the chord, top
-    and bottom of lattice_scan(c, *vecs[k]) bit for bit.  No witnesses.
+    Yields, per orbit, a (3, len(vecs), lines) array: row [:, k] equals the
+    chord, top and bottom of lattice_scan(c, *vecs[k]) bit for bit.  No
+    witnesses.
     """
-    V = _along_uperp(*vecs[0])
-    if math.gcd(*V) != 1:
-        raise ValueError(f"lattice direction must be primitive, got {tuple(vecs[0])}")
-    boards, flip = [], []
-    for v in vecs:
-        if sorted(map(abs, v)) != sorted(map(abs, V)):
-            raise ValueError(f"{tuple(v)} is not in the dihedral orbit of {tuple(vecs[0])}")
-        board, det = _onto(c.cells, _along_uperp(*v), V)
-        boards.append(board)
-        flip.append(det < 0)
-    per = max(1, _STACK // ((c.n + abs(V[0])) * (c.n + abs(V[1]))))
-    out = np.concatenate([_lattice_core(np.stack(boards[lo:lo + per]), *V)[2]
-                          for lo in range(0, len(boards), per)], axis=1)
-    out[:, flip] = out[:, flip, ::-1]
-    return out
+    ws = np.empty(0)
+    for vecs in orbits:
+        V = _along_uperp(*sorted(map(abs, vecs[0]), reverse=True))
+        if math.gcd(*V) != 1:
+            raise ValueError(f"lattice direction must be primitive, got {tuple(vecs[0])}")
+        boards, flip = [], []
+        for v in vecs:
+            if sorted(map(abs, v)) != sorted(map(abs, V)):
+                raise ValueError(f"{tuple(v)} is not in the dihedral orbit of {tuple(vecs[0])}")
+            board, det = _onto(c.cells, _along_uperp(*v), V)
+            boards.append(board)
+            flip.append(det < 0)
+        per = max(1, _STACK // ((c.n + abs(V[0])) * (c.n + abs(V[1]))))
+        parts = []
+        for lo in range(0, len(boards), per):
+            _, _, part, ws = _lattice_core(boards[lo:lo + per], *V, ws)
+            parts.append(part)
+        out = np.concatenate(parts, axis=1)
+        out[:, flip] = out[:, flip, ::-1]
+        yield out
 
 
 def _onto(cells: np.ndarray, v: tuple[int, int], V: tuple[int, int]):
@@ -395,22 +408,23 @@ def _onto(cells: np.ndarray, v: tuple[int, int], V: tuple[int, int]):
     return cells, det
 
 
-def _lattice_core(boards: np.ndarray, dx: int, dy: int):
+def _lattice_core(boards, dx: int, dy: int, ws: np.ndarray):
     # The kernel: every lattice line of the signed primitive v = (dx, dy),
-    # on each of the K boards of the (K, n, n) stack at once.  A step v from
-    # a lattice point p crosses the cells p + d_q over lengths l_q, q < P =
-    # |dx| + |dy| - 1, in an order fixed by an exact integer merge.  So the
-    # prefix after piece q of the period at p is S(p) + acc_q(p): acc_q(p)
-    # is a partial period sum, built for every p at once from P shifted
-    # slices of the zero-padded boards, and S(p) sums the whole periods
-    # before p on its line.  Periods off the board add exact zeros, so they
-    # change no value and no first crossing.  Every temporary has one entry
-    # per board and lattice point (or per board, line and step), whatever P
-    # is: no pieces x points array is formed.  Lengths are integers in
+    # on each of the K (n, n) boards at once.  A step v from a lattice point
+    # p crosses the cells p + d_q over lengths l_q, q < P = |dx| + |dy| - 1,
+    # in an order fixed by an exact integer merge.  So the prefix after
+    # piece q of the period at p is S(p) + acc_q(p): acc_q(p) is a partial
+    # period sum, built for every p at once from P shifted slices of the
+    # zero-padded boards, and S(p) sums the whole periods before p on its
+    # line.  Periods off the board add exact zeros, so they change no value
+    # and no first crossing.  Every large array has one entry per board and
+    # box point, whatever P is (no pieces x points array is formed), and is
+    # carved from the float buffer ws, or from one at least twice its size
+    # made in its place when ws is too small.  Lengths are integers in
     # units of |v| / den, so on a +-1 board every sum is exact until the
     # one scaling at the end.  Returns the lines m (see below), the vector
-    # w, and chord, top and bottom as a (3, K, lines) array.
-    K, n = boards.shape[0], boards.shape[1]
+    # w, chord, top and bottom as a (3, K, lines) array, and the buffer.
+    K, n = len(boards), boards[0].shape[0]
     a, b = abs(dx), abs(dy)
     # piece q of a step runs from keys[q] / den to keys[q + 1] / den of it
     # (the merge of i / a and j / b), over keys[q + 1] - keys[q] units; its
@@ -428,20 +442,53 @@ def _lattice_core(boards: np.ndarray, dx: int, dy: int):
     ex, ey = int(sx.max()), int(sy.max())
     nx, ny = n + ex, n + ey
     x0, y0 = -int(ox.max()), -int(oy.max())
-    pad = np.zeros((K, n + 2 * ex, n + 2 * ey))
-    pad[:, ex:ex + n, ey:ey + n] = boards
-    size = K * nx * ny
-    sums = np.zeros((3, size + 1))  # the extra zero stands for "no point"
-    acc, hi, lo = (f[:-1].reshape(K, nx, ny) for f in sums)  # hi, lo: 0 included
-    tmp = np.empty((K, nx, ny))
+    size, box = K * (n + 2 * ex) * (n + 2 * ey), K * nx * ny
+    if ws.size < size + 4 * box + 1:
+        ws = np.empty(max(size + 4 * box + 1, 2 * ws.size))
+    ws[:size + 3 * box + 1] = 0.0
+    pad = ws[:size].reshape(K, n + 2 * ex, n + 2 * ey)
+    for k, board in enumerate(boards):
+        pad[k, ex:ex + n, ey:ey + n] = board
+    # acc, hi and lo (hi, lo: 0 included), then a zero that stands for "no
+    # point", and tmp
+    flat = ws[size:size + 3 * box + 1]
+    sums = flat[:-1].reshape(3, K, nx, ny)
+    acc, hi, lo = sums
+    tmp = ws[size + 3 * box + 1:size + 4 * box + 1].reshape(K, nx, ny)
     for i, j, w in zip(sx.tolist(), sy.tolist(), ell):
         piece = pad[:, i:i + nx, j:j + ny]
         acc += piece if w == 1 else np.multiply(piece, w, out=tmp)
         np.maximum(hi, acc, out=hi)
         np.minimum(lo, acc, out=lo)
 
-    # lines p = m*w + k*v with w.(dy, -dx) = 1 through a point of {0..n}^2,
-    # one column each; a row per step from the line's first box point
+    # Along the lines, in a view where v = (A, B) with A >= B >= 0, so that
+    # each point's predecessor p - v lies one block of A rows back.  Block
+    # by block, acc becomes the running sum through each point (S plus its
+    # whole period) and hi and lo gain S; then, backward, each point takes
+    # the max (min) of its successor, so a line's top and bottom end at its
+    # first box point and its chord at its last.
+    A, B = dx, dy
+    if a < b:
+        A, B, sums = dy, dx, sums.transpose(0, 1, 3, 2)
+    if A < 0:
+        A, sums = -A, sums[:, :, ::-1]
+    if B < 0:
+        B, sums = -B, sums[:, :, :, ::-1]
+    run, up, down = sums
+    span, cols = sums.shape[2], sums.shape[3] - B
+    blocks = [(s, min(s + A, span)) for s in range(A, span, A)]
+    for s, e in blocks:
+        sums[:, :, s:e, B:] += run[:, s - A:e - A, :cols]
+    for s, e in reversed(blocks):
+        back = (slice(None), slice(s - A, e - A), slice(0, cols))
+        np.maximum(up[back], up[:, s:e, B:], out=up[back])
+        np.minimum(down[back], down[:, s:e, B:], out=down[back])
+
+    # lines p = m*w + k*v with w.(dy, -dx) = 1 through a point of {0..n}^2:
+    # the chord is acc at a line's last box point, top and bottom are hi
+    # and lo at its first, in every board; a line with no box point (first
+    # > last, where last may be -2^62: the max keeps int64 from wrapping)
+    # reads the zero
     wx = 1 if dx == 0 else pow(dy, -1, a)
     wy = 0 if dx == 0 else (wx * dy - 1) // dx
     m0 = n * (min(dy, 0) + min(-dx, 0))
@@ -450,19 +497,13 @@ def _lattice_core(boards: np.ndarray, dx: int, dy: int):
     hit[(x[:, None] * dy - x * dx).ravel() - m0] = True
     m = np.flatnonzero(hit) + m0
     first, last = _steps(m, (wx, wy), (dx, dy), (x0, y0), (x0 + nx - 1, y0 + ny - 1))
-    count = np.maximum(last - first + 1, 0)
-    j = np.arange(max(int(count.max()), 1))[:, None]
-    box = (m * wx - x0) * ny + (m * wy - y0) + (first + j) * (dx * ny + dy)
-    box = box + np.arange(0, size, nx * ny)[:, None, None]  # (board, step, line)
-    box[:, j >= count] = size
-    whole, up, down = np.take(sums, box, axis=1)
-    run = np.zeros_like(whole)  # S: the whole periods before each point
-    np.cumsum(whole[:, :-1], axis=1, out=run[:, 1:])
-    up += run
-    down += run
-    out = np.stack([run[:, -1] + whole[:, -1], up.max(axis=1), down.min(axis=1)])
+    at = np.stack([np.maximum(last, first), first, first]) * (dx * ny + dy)
+    at += (m * wx - x0) * ny + m * wy - y0  # the line's step 0, in the box
+    at = np.arange(0, 3 * box, nx * ny).reshape(3, K, 1) + at[:, None]
+    at[:, :, first > last] = 3 * box
+    out = np.take(flat, at)
     out *= math.sqrt(dx * dx + dy * dy) / den
-    return m, (wx, wy), out
+    return m, (wx, wy), out, ws
 
 
 def _steps(m, w, v, lo, hi):

@@ -4,9 +4,10 @@ Chord and sub-segment maxima of a checkerboard are both attained along a
 primitive lattice direction (dx, dy) with |dx|, |dy| <= n, so those
 directions are the only candidates, carried as integer pairs: the search
 never rounds an angle.  best_chord / best_segment / scan_report group the
-candidates, axes included, by dihedral orbit and evaluate each orbit in one
-radon.orbit_scan pass (every breakpoint chord from shifted board sums),
-keeping only each direction's best chord and segment values.  Ties between
+candidates, axes included, by dihedral orbit and evaluate them in one
+radon.orbit_scan call: one kernel pass per orbit (every breakpoint chord
+from shifted board sums), all passes in one reused buffer, keeping only
+each direction's best chord and segment values.  Ties between
 directions go to the smaller angle, with radon's tie_tolerance.  Only the
 winning directions are scanned again, by radon.lattice_scan, for the
 witness chord and segment.  brute_force is the small-n oracle: it shares
@@ -68,9 +69,9 @@ def default_angles(n: int) -> int:
 
 def _scan(c: Coloring, angles: int | None):
     # One serial pass over the budgeted lattice directions, one orbit_scan
-    # per dihedral orbit: the directions and, per direction, the best chord
-    # and segment values that lattice_scan's best_chord and best_segment
-    # would report (the first line within tie of the maximum).
+    # call over their dihedral orbits: the directions and, per direction,
+    # the best chord and segment values that lattice_scan's best_chord and
+    # best_segment would report (the first line within tie of the maximum).
     if angles is None:
         angles = default_angles(c.n)
     if angles < 1:
@@ -81,8 +82,9 @@ def _scan(c: Coloring, angles: int | None):
         orbits.setdefault(tuple(sorted(map(abs, v))), []).append(k)
     tie = tie_tolerance(c)
     chord, seg = np.empty(len(dirs)), np.empty(len(dirs))
-    for ks in orbits.values():
-        ch, top, bottom = orbit_scan(c, [dirs[k] for k in ks])
+    groups = list(orbits.values())
+    scans = orbit_scan(c, [[dirs[k] for k in ks] for ks in groups])
+    for ks, (ch, top, bottom) in zip(groups, scans):
         chord[ks] = _first_maxima(np.abs(ch), tie)
         seg[ks] = _first_maxima(top - bottom, tie)
     return dirs, chord, seg

@@ -19,7 +19,9 @@ chord, top and bottom are integers times fl(|v|/den), and both witness ends
 are the exact rationals of an integer walk of the winning line, each
 rounded once; every witness end lies on the board, at lattice directions
 and at generic angles.  orbit_scan, the search's batched call of the same
-kernel, is checked against lattice_scan bit for bit.
+kernel, is checked against lattice_scan bit for bit, with all of a board's
+orbits in one call (one reused buffer) and at n = 96, where an orbit's
+boards split into two stacks.
 """
 
 import math
@@ -27,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from needleboard import radon
@@ -113,7 +115,7 @@ def _large_board(n: int, real: bool) -> Coloring:
 
 @pytest.mark.parametrize("theta", _LARGE_ANGLES)
 @pytest.mark.parametrize("n, real", [(24, False), (24, True), (32, False), (32, True)])
-def test_project_across_blocks_equals_chord_integrals(n, real, theta):
+def test_project_on_large_boards_equals_chord_integrals(n, real, theta):
     c, d = _large_board(n, real), Direction(theta)
     p = project(c, d)
     assert p.breakpoints.size == (n + 1) ** 2
@@ -124,7 +126,7 @@ def test_project_across_blocks_equals_chord_integrals(n, real, theta):
 
 @pytest.mark.parametrize("theta", _LARGE_ANGLES)
 @pytest.mark.parametrize("n, real", [(24, False), (24, True), (32, False), (32, True)])
-def test_direction_maxima_across_blocks_equal_the_scalar_oracle(n, real, theta):
+def test_direction_maxima_on_large_boards_equal_the_scalar_oracle(n, real, theta):
     # the chord maximum against one walk, which is max_segment_in_direction
     # at these angles, and both witnesses integrating to their values
     c, d = _large_board(n, real), Direction(theta)
@@ -313,8 +315,9 @@ def test_direction_witness_ends_lie_on_the_board(n):
 @st.composite
 def orbit_cases(draw):
     # a board and every dihedral orbit of its lattice directions, each
-    # shuffled (its first member sets the common vector) and cut to a
-    # non-empty prefix, as a budget may cut it
+    # shuffled and cut to a non-empty prefix, as a budget may cut it; the
+    # orbits are shuffled too, so one scan's buffer serves larger and
+    # smaller boxes in any order
     c = draw(boards())
     orbits: dict = {}
     for v in _lattice_directions(c.n):
@@ -324,17 +327,22 @@ def orbit_cases(draw):
     for vecs in orbits.values():
         rnd.shuffle(vecs)
         cut.append(vecs[:rnd.randint(1, len(vecs))])
+    rnd.shuffle(cut)
     return c, cut
 
 
 @settings(max_examples=60)
 @given(orbit_cases())
+# at n = 96 a 4-member orbit of these long vectors splits into stacks of 3
+# and 1 boards, and the short orbits between them shrink the box
+@example((make_random(96, seed=9), [[(10, 1), (-1, 10), (1, 10), (-10, 1)], [(1, 0)],
+                                    [(-7, 3), (3, 7), (7, 3), (-3, 7)], [(1, 1), (-1, 1)],
+                                    [(9, 2), (-2, 9), (2, 9), (-9, 2)]]))
 def test_orbit_scan_equals_lattice_scan_bit_for_bit(case):
     # bit identity, not closeness: the search's tie rule across directions
-    # and every report rest on it
+    # and every report rest on it; all orbits go to one orbit_scan call
     c, orbits = case
-    for vecs in orbits:
-        out = orbit_scan(c, vecs)
+    for vecs, out in zip(orbits, orbit_scan(c, orbits), strict=True):
         for k, v in enumerate(vecs):
             scan = lattice_scan(c, *v)
             assert np.array_equal(out[0, k], scan.chord)
@@ -345,6 +353,6 @@ def test_orbit_scan_equals_lattice_scan_bit_for_bit(case):
 def test_orbit_scan_rejects_mixed_orbits():
     c = make_random(4, seed=0)
     with pytest.raises(ValueError):
-        orbit_scan(c, [(1, 2), (1, 3)])
+        list(orbit_scan(c, [[(1, 2), (1, 3)]]))
     with pytest.raises(ValueError):
-        orbit_scan(c, [(2, 2)])
+        list(orbit_scan(c, [[(2, 2)]]))
