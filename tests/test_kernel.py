@@ -115,7 +115,7 @@ def _large_board(n: int, real: bool) -> Coloring:
 
 @pytest.mark.parametrize("theta", _LARGE_ANGLES)
 @pytest.mark.parametrize("n, real", [(24, False), (24, True), (32, False), (32, True)])
-def test_project_on_large_boards_equals_chord_integrals(n, real, theta):
+def test_project_across_blocks_equals_chord_integrals(n, real, theta):
     c, d = _large_board(n, real), Direction(theta)
     p = project(c, d)
     assert p.breakpoints.size == (n + 1) ** 2
@@ -126,7 +126,7 @@ def test_project_on_large_boards_equals_chord_integrals(n, real, theta):
 
 @pytest.mark.parametrize("theta", _LARGE_ANGLES)
 @pytest.mark.parametrize("n, real", [(24, False), (24, True), (32, False), (32, True)])
-def test_direction_maxima_on_large_boards_equal_the_scalar_oracle(n, real, theta):
+def test_direction_maxima_across_blocks_equal_the_scalar_oracle(n, real, theta):
     # the chord maximum against one walk, which is max_segment_in_direction
     # at these angles, and both witnesses integrating to their values
     c, d = _large_board(n, real), Direction(theta)
