@@ -17,28 +17,30 @@ picks both ends: the first position where the prefix comes within the tie
 of its top, and of its bottom.
 
 - One kernel core, _lattice_core, serves every lattice direction: it
-  evaluates every breakpoint chord of a primitive lattice direction from
-  shifted sums over the zero-padded board, with no float sort, clip or
-  deduplication, for a stack of boards at once.  It sums integer piece
-  lengths and scales by |v|/den once, so on a +-1 board chord, top and
-  bottom are exact integers times fl(|v|/den).  The sums along each line
-  are taken in place, one block of lattice points after another, and read
-  off at the line's ends; every array the size of the lattice box is
-  carved from one float buffer that the caller passes in.  Axis chords run
-  along columns or rows and may lie on gridlines; the piece offset d =
-  (0, 0) or (-1, 0) gives them half-open ownership: the gridline t = k
-  belongs to line k and t = n to none, so the profile steps at integer
-  offsets instead of staying continuous.
-- orbit_scan runs the core once per dihedral orbit {(+-a, b), (+-b, a)} of
-  the direction search, over all of a scan's orbits in one call and one
-  buffer: each member's board is moved by the signed permutation that
-  carries the member onto one common vector, which keeps every piece and
-  its order, so its chord and prefix arrays equal lattice_scan's bit for
-  bit.  It builds no witnesses.
-- lattice_scan is the core's call for one board and one direction, plus the
-  witness of the best segment, walked on the winning line alone in exact
-  integers.  It serves the search's two winners and the two axis directions
-  (theta = 0, pi/2) of project and the per-direction maxima.
+  evaluates every breakpoint chord of one primitive vector (A, B) with
+  A >= B >= 0 from shifted sums over the zero-padded board, with no float
+  sort, clip or deduplication, for a stack of boards at once.  It sums
+  integer piece lengths and scales by |v|/den once, so on a +-1 board
+  chord, top and bottom are exact integers times fl(|v|/den).  The sums
+  along each line are taken in place, one block of A rows of lattice
+  points after another, and read off at the line's ends; every array the
+  size of the lattice box is carved from one float buffer that the caller
+  passes in.
+- orbit_scan is the core's only caller, and the only code that knows the
+  dihedral orbits {(+-A, +-B), (+-B, +-A)}: it groups a list of directions
+  by orbit and runs the core once per orbit, over all of them in one
+  buffer.  _onto, the only code that orients a board, moves each member's
+  board by the signed permutation that carries the member onto (A, B),
+  which keeps every piece and its order, so its chord and prefix arrays
+  equal those of the member itself bit for bit.  A zero entry keeps its
+  sign, so axis chords, which run along columns or rows and may lie on
+  gridlines, keep half-open ownership: the gridline t = k belongs to line
+  k and t = n to none, so the profile steps at integer offsets instead of
+  staying continuous.  It builds no witnesses.
+- lattice_scan is orbit_scan's call for one board and one direction, plus
+  the witness of the best segment, walked on the winning line alone in
+  exact integers.  It serves the search's two winners and the two axis
+  directions (theta = 0, pi/2) of project and the per-direction maxima.
 - Off the axes, project and max_chord_in_direction read the chord profile
   from ramp moments (_ramp_profile): running sums of the board's mixed
   second difference in the order of the breakpoints, exact integers on a
@@ -315,14 +317,19 @@ def lattice_scan(c: Coloring, dx: int, dy: int) -> OffsetScan:
 
     The chords run along v = +-(dx, dy), signed to point along uperp, and the
     breakpoint chords are the lattice lines m = x*dy - y*dx through a point
-    of {0..n}^2, at offsets t = m / |v|.  The values come from _lattice_core
+    of {0..n}^2, at offsets t = m / |v|.  The values come from orbit_scan
     on the board alone; see there.  The witness is the best segment of the
     line best_segment picks, walked alone in exact integers.
     """
     if math.gcd(dx, dy) != 1:
         raise ValueError(f"lattice direction must be primitive, got ({dx}, {dy})")
+    ((_, out),) = orbit_scan(c, [(dx, dy)])
+    chord, top, bottom = out[:, 0]
     dx, dy = _along_uperp(dx, dy)
-    m, w, (chord, top, bottom), _ = _lattice_core([c.cells], dx, dy, np.empty(0))
+    m = _lines(c.n, dx, dy)
+    # the line m is the points m*w + k*v, with w.(dy, -dx) = 1
+    wx = 1 if dx == 0 else pow(dy, -1, abs(dx))
+    w = (wx, 0 if dx == 0 else (wx * dy - 1) // dx)
     den = max(abs(dx), 1) * max(abs(dy), 1)
     ln = math.sqrt(dx * dx + dy * dy)
 
@@ -335,7 +342,7 @@ def lattice_scan(c: Coloring, dx: int, dy: int) -> OffsetScan:
     # |m| <= 2n^2, |w| <= n and den <= n^2, numerators stay below about
     # 4n^5, far inside int64.
     tie = tie_tolerance(c)
-    i = _first_max(top[0] - bottom[0], tie)
+    i = _first_max(top - bottom, tie)
     base = [int(m[i]) * wi * den for wi in w]  # the point mi*w, times den
     cross = [(np.arange(c.n + 1) * den - e) // vi for e, vi in zip(base, (dx, dy)) if vi]
     lo, hi = max(int(k.min()) for k in cross), min(int(k.max()) for k in cross)
@@ -347,71 +354,80 @@ def lattice_scan(c: Coloring, dx: int, dy: int) -> OffsetScan:
     prefix *= ln / den
     a, b = (((base[0] + k * dx) / den, (base[1] + k * dy) / den)
             for k in sorted(_witness(keys.tolist(), prefix, tie)))
-    return OffsetScan(Direction.along(dx, dy), tie, m / ln, chord[0], top[0], bottom[0],
-                      Segment(a, b))
+    return OffsetScan(Direction.along(dx, dy), tie, m / ln, chord, top, bottom, Segment(a, b))
 
 
-def orbit_scan(c: Coloring, orbits):
-    """Chord, top and bottom per line of each orbit's lattice directions.
+def orbit_scan(c: Coloring, dirs):
+    """Chord, top and bottom per line of each lattice direction in `dirs`.
 
-    Each entry of `orbits` lists directions of (part of) one dihedral orbit
-    {(+-a, b), (+-b, a)}.  Each v (signed to point along uperp) is carried
-    onto the orbit's signed vector V with |V_x| >= |V_y| by the signed
-    permutation g with g v = V, and the board by the same g, so each v
-    keeps its pieces and their order: one _lattice_core pass over the stack
-    of moved boards serves them all (or a few passes, past about n = 90, to
-    keep each stack within _STACK box points).  The lines come back by
+    Groups `dirs` by dihedral orbit {(+-A, +-B), (+-B, +-A)}, A >= B >= 0,
+    in order of first appearance.  Each member v (signed to point along
+    uperp) and the board are carried by the signed permutation g with
+    g v = (A, B) (_onto), which keeps every piece of a step and their
+    order: one _lattice_core pass over the stack of moved boards serves
+    the whole orbit (or a few passes, past about n = 90, to keep each
+    stack within _STACK box points).  The lines come back by
     m -> det(g)*m + const, reversed where det(g) = -1.  Every pass of the
     scan works in one buffer, which at least doubles when a stack needs
     more, so a scan grows it a few times, not once per orbit.
 
-    Yields, per orbit, a (3, len(vecs), lines) array: row [:, k] equals the
-    chord, top and bottom of lattice_scan(c, *vecs[k]) bit for bit.  No
+    Yields, per orbit, the indices into `dirs` of its members and a
+    (3, len(indices), lines) array: row [:, k] equals the chord, top and
+    bottom of lattice_scan(c, *dirs[indices[k]]) bit for bit.  No
     witnesses.
     """
+    orbits: dict[tuple[int, int], list[int]] = {}
+    for k, v in enumerate(dirs):
+        orbits.setdefault(tuple(sorted(map(abs, v), reverse=True)), []).append(k)
     ws = np.empty(0)
-    for vecs in orbits:
-        V = _along_uperp(*sorted(map(abs, vecs[0]), reverse=True))
-        if math.gcd(*V) != 1:
-            raise ValueError(f"lattice direction must be primitive, got {tuple(vecs[0])}")
+    for (A, B), ks in orbits.items():
+        if math.gcd(A, B) != 1:
+            raise ValueError(f"lattice direction must be primitive, got {tuple(dirs[ks[0]])}")
         boards, flip = [], []
-        for v in vecs:
-            if sorted(map(abs, v)) != sorted(map(abs, V)):
-                raise ValueError(f"{tuple(v)} is not in the dihedral orbit of {tuple(vecs[0])}")
-            board, det = _onto(c.cells, _along_uperp(*v), V)
+        for k in ks:
+            board, det = _onto(c.cells, _along_uperp(*dirs[k]))
             boards.append(board)
             flip.append(det < 0)
-        per = max(1, _STACK // ((c.n + abs(V[0])) * (c.n + abs(V[1]))))
+        per = max(1, _STACK // ((c.n + A) * (c.n + B)))
         parts = []
         for lo in range(0, len(boards), per):
-            _, _, part, ws = _lattice_core(boards[lo:lo + per], *V, ws)
+            part, ws = _lattice_core(boards[lo:lo + per], A, B, ws)
             parts.append(part)
         out = np.concatenate(parts, axis=1)
         out[:, flip] = out[:, flip, ::-1]
-        yield out
+        yield ks, out
 
 
-def _onto(cells: np.ndarray, v: tuple[int, int], V: tuple[int, int]):
-    # The board moved by the signed permutation g with g v = V, and det(g).
-    # g swaps the coordinates where |v| and |V| need it, then flips the sign
-    # of each coordinate whose entries differ in sign; a zero entry keeps
-    # its sign, which keeps the axes' half-open ownership (the line x = k
-    # owns column k, y = k owns row k).  The board maps cell by cell:
-    # cells.T swaps, [::-1] flips x -> n - x.
+def _onto(cells: np.ndarray, v: tuple[int, int]):
+    # The board moved by the signed permutation g with g v = (A, B), A >= B
+    # >= 0, and det(g).  g swaps the coordinates when |v_x| < |v_y|, then
+    # flips the sign of each negative coordinate; a zero entry keeps its
+    # sign, which keeps the axes' half-open ownership (the line x = k owns
+    # column k, y = k owns row k).  The board maps cell by cell: cells.T
+    # swaps, [::-1] flips x -> n - x.
     det = 1
-    if abs(v[0]) != abs(V[0]):
+    if abs(v[0]) < abs(v[1]):
         v, cells, det = v[::-1], cells.T, -1
-    if v[0] * V[0] < 0:
+    if v[0] < 0:
         cells, det = cells[::-1], -det
-    if v[1] * V[1] < 0:
+    if v[1] < 0:
         cells, det = cells[:, ::-1], -det
     return cells, det
 
 
-def _lattice_core(boards, dx: int, dy: int, ws: np.ndarray):
-    # The kernel: every lattice line of the signed primitive v = (dx, dy),
+def _lines(n: int, dx: int, dy: int) -> np.ndarray:
+    # the lines m = x*dy - y*dx through a point of {0..n}^2, ascending
+    m0 = n * (min(dy, 0) + min(-dx, 0))
+    x = np.arange(n + 1)
+    hit = np.zeros(n * (abs(dx) + abs(dy)) + 1, dtype=bool)
+    hit[(x[:, None] * dy - x * dx).ravel() - m0] = True
+    return np.flatnonzero(hit) + m0
+
+
+def _lattice_core(boards, A: int, B: int, ws: np.ndarray):
+    # The kernel: every lattice line of the primitive v = (A, B), A >= B >= 0,
     # on each of the K (n, n) boards at once.  A step v from a lattice point
-    # p crosses the cells p + d_q over lengths l_q, q < P = |dx| + |dy| - 1,
+    # p crosses the cells p + d_q over lengths l_q, q < P = A + B - 1,
     # in an order fixed by an exact integer merge.  So the prefix after
     # piece q of the period at p is S(p) + acc_q(p): acc_q(p) is a partial
     # period sum, built for every p at once from P shifted slices of the
@@ -422,26 +438,23 @@ def _lattice_core(boards, dx: int, dy: int, ws: np.ndarray):
     # carved from the float buffer ws, or from one at least twice its size
     # made in its place when ws is too small.  Lengths are integers in
     # units of |v| / den, so on a +-1 board every sum is exact until the
-    # one scaling at the end.  Returns the lines m (see below), the vector
-    # w, chord, top and bottom as a (3, K, lines) array, and the buffer.
+    # one scaling at the end.  Returns chord, top and bottom as a (3, K,
+    # lines) array, lines in the order of _lines, and the buffer.
     K, n = len(boards), boards[0].shape[0]
-    a, b = abs(dx), abs(dy)
     # piece q of a step runs from keys[q] / den to keys[q + 1] / den of it
-    # (the merge of i / a and j / b), over keys[q + 1] - keys[q] units; its
-    # midpoint names its cell p + d_q
-    den = max(a, 1) * max(b, 1)
-    keys = np.array(sorted({*range(0, den + 1, max(b, 1)), *range(0, den + 1, max(a, 1))}))
+    # (the merge of i / A and j / B), over keys[q + 1] - keys[q] units; its
+    # midpoint names its cell p + d_q, d_q >= 0
+    den = A * max(B, 1)
+    keys = np.array(sorted({*range(0, den + 1, max(B, 1)), *range(0, den + 1, A)}))
     mid = keys[:-1] + keys[1:]
-    ox, oy = mid * dx // (2 * den), mid * dy // (2 * den)
+    ox, oy = mid * A // (2 * den), mid * B // (2 * den)
     # as floats: numpy multiplies by a float scalar faster than by an int
     ell = np.diff(keys).astype(float).tolist()
 
     # the box of lattice points whose period meets the board: point (i, j)
-    # is p = (x0 + i, y0 + j), and its piece q is pad[:, i + sx[q], j + sy[q]]
-    sx, sy = ox - ox.min(), oy - oy.min()
-    ex, ey = int(sx.max()), int(sy.max())
+    # is p = (i - ex, j - ey), and its piece q is pad[:, i + ox[q], j + oy[q]]
+    ex, ey = int(ox.max()), int(oy.max())
     nx, ny = n + ex, n + ey
-    x0, y0 = -int(ox.max()), -int(oy.max())
     size, box = K * (n + 2 * ex) * (n + 2 * ey), K * nx * ny
     if ws.size < size + 4 * box + 1:
         ws = np.empty(max(size + 4 * box + 1, 2 * ws.size))
@@ -455,70 +468,55 @@ def _lattice_core(boards, dx: int, dy: int, ws: np.ndarray):
     sums = flat[:-1].reshape(3, K, nx, ny)
     acc, hi, lo = sums
     tmp = ws[size + 3 * box + 1:size + 4 * box + 1].reshape(K, nx, ny)
-    for i, j, w in zip(sx.tolist(), sy.tolist(), ell):
+    for i, j, w in zip(ox.tolist(), oy.tolist(), ell):
         piece = pad[:, i:i + nx, j:j + ny]
         acc += piece if w == 1 else np.multiply(piece, w, out=tmp)
         np.maximum(hi, acc, out=hi)
         np.minimum(lo, acc, out=lo)
 
-    # Along the lines, in a view where v = (A, B) with A >= B >= 0, so that
-    # each point's predecessor p - v lies one block of A rows back.  Block
-    # by block, acc becomes the running sum through each point (S plus its
-    # whole period) and hi and lo gain S; then, backward, each point takes
-    # the max (min) of its successor, so a line's top and bottom end at its
-    # first box point and its chord at its last.
-    A, B = dx, dy
-    if a < b:
-        A, B, sums = dy, dx, sums.transpose(0, 1, 3, 2)
-    if A < 0:
-        A, sums = -A, sums[:, :, ::-1]
-    if B < 0:
-        B, sums = -B, sums[:, :, :, ::-1]
-    run, up, down = sums
-    span, cols = sums.shape[2], sums.shape[3] - B
-    blocks = [(s, min(s + A, span)) for s in range(A, span, A)]
+    # Along the lines: each point's predecessor p - v lies one block of A
+    # rows back.  Block by block, acc becomes the running sum through each
+    # point (S plus its whole period) and hi and lo gain S; then, backward,
+    # each point takes the max (min) of its successor, so a line's top and
+    # bottom end at its first box point and its chord at its last.
+    cols = ny - B
+    blocks = [(s, min(s + A, nx)) for s in range(A, nx, A)]
     for s, e in blocks:
-        sums[:, :, s:e, B:] += run[:, s - A:e - A, :cols]
+        sums[:, :, s:e, B:] += acc[:, s - A:e - A, :cols]
     for s, e in reversed(blocks):
         back = (slice(None), slice(s - A, e - A), slice(0, cols))
-        np.maximum(up[back], up[:, s:e, B:], out=up[back])
-        np.minimum(down[back], down[:, s:e, B:], out=down[back])
+        np.maximum(hi[back], hi[:, s:e, B:], out=hi[back])
+        np.minimum(lo[back], lo[:, s:e, B:], out=lo[back])
 
-    # lines p = m*w + k*v with w.(dy, -dx) = 1 through a point of {0..n}^2:
+    # lines p = m*w + k*v with w.(B, -A) = 1 through a point of {0..n}^2:
     # the chord is acc at a line's last box point, top and bottom are hi
     # and lo at its first, in every board; a line with no box point (first
     # > last, where last may be -2^62: the max keeps int64 from wrapping)
     # reads the zero
-    wx = 1 if dx == 0 else pow(dy, -1, a)
-    wy = 0 if dx == 0 else (wx * dy - 1) // dx
-    m0 = n * (min(dy, 0) + min(-dx, 0))
-    x = np.arange(n + 1)
-    hit = np.zeros(n * (a + b) + 1, dtype=bool)
-    hit[(x[:, None] * dy - x * dx).ravel() - m0] = True
-    m = np.flatnonzero(hit) + m0
-    first, last = _steps(m, (wx, wy), (dx, dy), (x0, y0), (x0 + nx - 1, y0 + ny - 1))
-    at = np.stack([np.maximum(last, first), first, first]) * (dx * ny + dy)
-    at += (m * wx - x0) * ny + m * wy - y0  # the line's step 0, in the box
+    wx = pow(B, -1, A)
+    wy = (wx * B - 1) // A
+    m = _lines(n, A, B)
+    first, last = _steps(m, (wx, wy), (A, B), (-ex, -ey), n - 1)
+    at = np.stack([np.maximum(last, first), first, first]) * (A * ny + B)
+    at += (m * wx + ex) * ny + m * wy + ey  # the line's step 0, in the box
     at = np.arange(0, 3 * box, nx * ny).reshape(3, K, 1) + at[:, None]
     at[:, :, first > last] = 3 * box
     out = np.take(flat, at)
-    out *= math.sqrt(dx * dx + dy * dy) / den
-    return m, (wx, wy), out, ws
+    out *= math.sqrt(A * A + B * B) / den
+    return out, ws
 
 
 def _steps(m, w, v, lo, hi):
-    # Per line m: the first and last step k with lo <= m*w + k*v <= hi on
-    # both axes, in integers; first > last when there is none.
+    # Per line m: the first and last step k with lo_i <= m*w_i + k*v_i <= hi
+    # on both axes (v_i >= 0), in integers; first > last when there is none.
     first, last = -(1 << 62), 1 << 62
-    for wi, vi, l, h in zip(w, v, lo, hi):
+    for wi, vi, l in zip(w, v, lo):
         e = m * wi
-        if vi < 0:
-            e, vi, l, h = -e, -vi, -h, -l
         if vi:
             first = np.maximum(first, -((e - l) // vi))
-            last = np.minimum(last, (h - e) // vi)
+            last = np.minimum(last, (hi - e) // vi)
         else:
-            last = np.where((l <= e) & (e <= h), last, -(1 << 62))
+            last = np.where((l <= e) & (e <= hi), last, -(1 << 62))
     return first, last
 
 

@@ -3,9 +3,9 @@
 Chord and sub-segment maxima of a checkerboard are both attained along a
 primitive lattice direction (dx, dy) with |dx|, |dy| <= n, so those
 directions are the only candidates, carried as integer pairs: the search
-never rounds an angle.  best_chord / best_segment / scan_report group the
-candidates, axes included, by dihedral orbit and evaluate them in one
-radon.orbit_scan call: one kernel pass per orbit (every breakpoint chord
+never rounds an angle.  best_chord / best_segment / scan_report evaluate
+the candidates, axes included, in one radon.orbit_scan call, which groups
+them by dihedral orbit: one kernel pass per orbit (every breakpoint chord
 from shifted board sums), all passes in one reused buffer, keeping only
 each direction's best chord and segment values.  Ties between
 directions go to the smaller angle, with radon's tie_tolerance.  Only the
@@ -69,7 +69,7 @@ def default_angles(n: int) -> int:
 
 def _scan(c: Coloring, angles: int | None):
     # One serial pass over the budgeted lattice directions, one orbit_scan
-    # call over their dihedral orbits: the directions and, per direction,
+    # call over all of them: the directions and, per direction,
     # the best chord and segment values that lattice_scan's best_chord and
     # best_segment would report (the first line within tie of the maximum).
     if angles is None:
@@ -77,14 +77,9 @@ def _scan(c: Coloring, angles: int | None):
     if angles < 1:
         raise ValueError(f"angle count must be at least 1, got {angles}")
     dirs = _lattice_directions(c.n, angles)
-    orbits: dict[tuple[int, ...], list[int]] = {}
-    for k, v in enumerate(dirs):
-        orbits.setdefault(tuple(sorted(map(abs, v))), []).append(k)
     tie = tie_tolerance(c)
     chord, seg = np.empty(len(dirs)), np.empty(len(dirs))
-    groups = list(orbits.values())
-    scans = orbit_scan(c, [[dirs[k] for k in ks] for ks in groups])
-    for ks, (ch, top, bottom) in zip(groups, scans):
+    for ks, (ch, top, bottom) in orbit_scan(c, dirs):
         chord[ks] = _first_maxima(np.abs(ch), tie)
         seg[ks] = _first_maxima(top - bottom, tie)
     return dirs, chord, seg

@@ -183,6 +183,7 @@ def test_brute_force_never_reaches_the_kernel(monkeypatch):
         raise AssertionError("brute_force reached a kernel")
 
     monkeypatch.setattr(radon, "_ramp_profile", kernel)
+    monkeypatch.setattr(radon, "_lattice_core", kernel)
     monkeypatch.setattr(radon, "lattice_scan", kernel)
     monkeypatch.setattr(search, "lattice_scan", kernel)
     monkeypatch.setattr(search, "orbit_scan", kernel)
