@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
 from . import __version__
 from .board import (
@@ -63,18 +63,37 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _numbers(kind, count: int = 0):
+    """argparse type: comma-separated `kind` values, as a tuple.
+
+    With `count` set there must be exactly that many, and count=1 returns
+    the bare value.  Each message quotes the token; argparse names the flag.
+    """
+    noun = "an integer" if kind is int else "a number"
+
+    def parse(text: str):
+        parts = text.split(",")
+        if count and len(parts) != count:
+            raise argparse.ArgumentTypeError(
+                f"{text!r}: expected {count} comma-separated values, got {len(parts)}"
+            )
+        values = []
+        for part in parts:
+            try:
+                value = kind(part)
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"{text!r}: {part!r} is not {noun}") from None
+            # comparisons, not math.isfinite, which overflows on huge ints
+            if not -math.inf < value < math.inf:
+                raise argparse.ArgumentTypeError(f"{text!r}: {part!r} is not finite")
+            values.append(value)
+        return values[0] if count == 1 else tuple(values)
+
+    return parse
+
+
 def _segment_arg(text: str) -> Segment:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(
-            f"segment {text!r} must be four comma-separated numbers ax,ay,bx,by"
-        )
-    try:
-        ax, ay, bx, by = (float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"segment {text!r} has a non-numeric part")
-    if not all(math.isfinite(v) for v in (ax, ay, bx, by)):
-        raise argparse.ArgumentTypeError(f"segment {text!r} has a non-finite part")
+    ax, ay, bx, by = _numbers(float, 4)(text)
     return Segment((ax, ay), (bx, by))
 
 
@@ -107,33 +126,6 @@ def _thread_count(text: str) -> int:
     return value
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return value
-
-
-def _float_list_arg(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated number list")
-    if not all(math.isfinite(v) for v in values):
-        raise argparse.ArgumentTypeError(f"{text!r} has a non-finite number")
-    return values
-
-
-def _int_list_arg(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated integer list")
-
-
 def _read_board(path: str) -> Coloring:
     # Undecodable bytes become lone surrogates, so read_text names every
     # character outside the format by line and column, raw bytes included.
@@ -162,22 +154,24 @@ def _write_text_out(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(args: argparse.Namespace, result) -> None:
-    doc = {
-        "schema": _SCHEMA,
-        "version": __version__,
-        "config": _config_dict(args),
-        "result": result,
-    }
-    _write_text_out(args, json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
-
-
-def _emit_csv(args: argparse.Namespace, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_text_out(args, buf.getvalue())
+def _emit(args: argparse.Namespace, result, header=(), rows=()) -> None:
+    # the report: with --format csv, `header` and `rows`; otherwise
+    # `result` in the JSON envelope
+    if getattr(args, "format", "json") == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    else:
+        doc = {
+            "schema": _SCHEMA,
+            "version": __version__,
+            "config": _config_dict(args),
+            "result": result,
+        }
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    _write_text_out(args, text)
 
 
 def _chord_dict(ch: Chord, value: float) -> dict:
@@ -257,22 +251,16 @@ def _cmd_integrate(args) -> int:
     if args.mc:
         result["mc_value"] = integrate_mc(c, args.seg, args.mc)
         result["mc_samples"] = args.mc
-    _emit_json(args, result)
+    _emit(args, result)
     return 0
 
 
 def _cmd_project(args) -> int:
     c = _read_board(args.board)
     prof = project(c, Direction(args.theta))
-    pairs = list(zip(prof.breakpoints.tolist(), prof.values.tolist()))
-    if args.format == "csv":
-        _emit_csv(args, ["t", "value"], [[t, v] for t, v in pairs])
-    else:
-        _emit_json(args, {
-            "theta": prof.direction.theta,
-            "breakpoints": [t for t, _ in pairs],
-            "values": [v for _, v in pairs],
-        })
+    ts, vs = prof.breakpoints.tolist(), prof.values.tolist()
+    _emit(args, {"theta": prof.direction.theta, "breakpoints": ts, "values": vs},
+          ["t", "value"], zip(ts, vs))
     return 0
 
 
@@ -302,7 +290,7 @@ def _cmd_search(args) -> int:
         with open(args.svg, "w", encoding="ascii", newline="") as fh:
             fh.write(_svg_board(c, rep.best_segment[0]))
     try:
-        _emit_json(args, _report_dict(rep))
+        _emit(args, _report_dict(rep))
     except Exception:
         if args.svg:
             os.remove(args.svg)
@@ -315,7 +303,7 @@ def _cmd_certify(args) -> int:
     bound, radius = certified_lower_bound(c)
     angles = lower_scan_angles(c.n)
     ch, vc = best_chord(c, angles=angles)
-    _emit_json(args, {
+    _emit(args, {
         "certificate": bound,
         "radius": radius,
         "best_chord": _chord_dict(ch, vc),
@@ -332,15 +320,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     c = _read_board(args.board)
-    rep = tail_energy(c, args.a)
-    result = {
-        "total": rep.total,
-        "a": rep.a,
-        "disk_energy": rep.disk_energy,
-        "tail": rep.tail,
-        "ratio": rep.ratio,
-        "grid": rep.grid,
-    }
+    result = asdict(tail_energy(c, args.a))
     if args.theta is not None:
         profile = interval_profile(c, Direction(args.theta))
         grid = [k * 0.25 for k in range(-32, 33)]
@@ -350,71 +330,50 @@ def _cmd_spectrum(args) -> int:
             "residual": slice_residual(c, profile, grid),
             "freq_window": 8.0,
         }
-    _emit_json(args, result)
+    _emit(args, result)
     return 0
 
 
 def _cmd_tail(args) -> int:
     te = hoeffding_tail(args.seg, args.n, args.trials, args.seed, args.lambdas)
+    header = ["lambda", "frequency", "envelope", "allowance"]
     rows = [
         [lam, te.frequencies[k], te.envelope(lam), te.allowance(k)]
         for k, lam in enumerate(te.lambdas)
     ]
-    if args.format == "csv":
-        _emit_csv(args, ["lambda", "frequency", "envelope", "allowance"], rows)
-    else:
-        _emit_json(args, {
-            "n": te.n,
-            "trials": te.trials,
-            "seed": te.seed,
-            "sigma": te.sigma,
-            "segment": _segment_dict(te.segment),
-            "rows": [
-                {"lambda": r[0], "frequency": r[1], "envelope": r[2], "allowance": r[3]}
-                for r in rows
-            ],
-        })
+    _emit(args, {
+        "n": te.n,
+        "trials": te.trials,
+        "seed": te.seed,
+        "sigma": te.sigma,
+        "segment": _segment_dict(te.segment),
+        "rows": [dict(zip(header, row)) for row in rows],
+    }, header, rows)
     return 0
 
 
 def _cmd_verify_lower(args) -> int:
     rows = lower_bound_scan(args.fixtures.split(","), args.ns)
-    if args.format == "csv":
-        _emit_csv(
-            args,
-            ["fixture", "n", "best_chord", "ratio_sqrt_n", "certificate", "radius"],
-            [[r.fixture, r.n, r.best_chord_value, r.ratio_sqrt_n, r.certificate, r.radius]
-             for r in rows],
-        )
-    else:
-        _emit_json(args, [asdict(r) for r in rows])
+    _emit(args, [asdict(r) for r in rows],
+          ["fixture", "n", "best_chord", "ratio_sqrt_n", "certificate", "radius"],
+          map(astuple, rows))
     return 0
 
 
 def _cmd_verify_upper(args) -> int:
     rep = upper_bound_scan(args.ns, trials=args.trials, seed=args.seed, angles=args.angles)
-    if args.format == "csv":
-        rows = []
-        for n, used, row in zip(rep.n_values, rep.angles, rep.values):
-            for t, v in enumerate(row, start=1):
-                rows.append([n, t, used, v])
-        _emit_csv(args, ["n", "trial", "angles", "value"], rows)
-    else:
-        _emit_json(args, {
-            "n_values": list(rep.n_values),
-            "trials": rep.trials,
-            "seed": rep.seed,
-            "angles": list(rep.angles),
-            "values": [list(row) for row in rep.values],
-            "exponent": rep.exponent,
-            "constants": list(rep.constants),
-        })
+    rows = [
+        [n, t, used, v]
+        for n, used, row in zip(rep.n_values, rep.angles, rep.values)
+        for t, v in enumerate(row, start=1)
+    ]
+    _emit(args, asdict(rep), ["n", "trial", "angles", "value"], rows)
     return 0
 
 
 def _cmd_perturb(args) -> int:
     rep = perturbation_check(args.n, args.trials, seed=args.seed)
-    _emit_json(args, asdict(rep) | {"max_deviation": rep.max_deviation})
+    _emit(args, asdict(rep) | {"max_deviation": rep.max_deviation})
     return 0
 
 
@@ -456,7 +415,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("project", help="offset profile of a direction")
     common(p, board=True)
-    p.add_argument("--theta", type=_finite_float, required=True,
+    p.add_argument("--theta", type=_numbers(float, 1), required=True,
                    help="direction angle, radians")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_project)
@@ -478,8 +437,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("spectrum", help="frequency-disk energy split")
     common(p, board=True)
-    p.add_argument("--a", type=_finite_float, default=8.0, help="disk radius")
-    p.add_argument("--theta", type=_finite_float, default=None,
+    p.add_argument("--a", type=_numbers(float, 1), default=8.0, help="disk radius")
+    p.add_argument("--theta", type=_numbers(float, 1), default=None,
                    help="also report the slice residual for this direction")
     p.set_defaults(func=_cmd_spectrum)
 
@@ -489,20 +448,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--seg", type=_segment_arg, required=True, metavar="AX,AY,BX,BY")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lambdas", type=_float_list_arg, default=(1.0, 2.0, 3.0))
+    p.add_argument("--lambdas", type=_numbers(float), default=(1.0, 2.0, 3.0))
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_tail)
 
     p = sub.add_parser("verify-lower", help="chord maxima vs certificates on fixtures")
     common(p)
-    p.add_argument("--ns", type=_int_list_arg, default=(4, 8, 16))
+    p.add_argument("--ns", type=_numbers(int), default=(4, 8, 16))
     p.add_argument("--fixtures", default="constant,parity,stripes,random:0")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_verify_lower)
 
     p = sub.add_parser("verify-upper", help="best-segment scaling over random boards")
     common(p)
-    p.add_argument("--ns", type=_int_list_arg, default=(8, 16, 32))
+    p.add_argument("--ns", type=_numbers(int), default=(8, 16, 32))
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--angles", type=int, default=None,

@@ -321,8 +321,6 @@ def lattice_scan(c: Coloring, dx: int, dy: int) -> OffsetScan:
     on the board alone; see there.  The witness is the best segment of the
     line best_segment picks, walked alone in exact integers.
     """
-    if math.gcd(dx, dy) != 1:
-        raise ValueError(f"lattice direction must be primitive, got ({dx}, {dy})")
     ((_, out),) = orbit_scan(c, [(dx, dy)])
     chord, top, bottom = out[:, 0]
     dx, dy = _along_uperp(dx, dy)

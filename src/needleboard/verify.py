@@ -247,6 +247,8 @@ def perturbation_check(n: int, trials: int, seed: int = 0) -> PerturbationReport
         raise ValueError(f"perturbation_check needs 2 <= n <= {_PERTURB_LIMIT}, got n={n}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got seed={seed}")
     scale = float(n**_SNAP_EXP)
     rng = np.random.default_rng(seed)
     margin = 1e-6

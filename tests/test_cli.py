@@ -331,6 +331,14 @@ def test_leading_minus_value_after_any_long_option(tmp_path, capsys):
      "(1e+308, 0.5) -> (-1e+308, 0.5)"),
     # finite, but past the quadrature grid's cap (and 8 A n overflows)
     (["spectrum", "--board", "BOARD", "--a", "1e308"], None, "radius 1e+308"),
+    (["perturb", "--n", "4", "--trials", "5", "--seed", "-1"], None, "seed"),
+    # not a number, or the wrong count of numbers
+    (["verify-upper", "--ns", "4,x"], None, "--ns"),
+    (["verify-lower", "--ns", "1.5"], None, "--ns"),
+    (["tail", "--seg", "0,0.5,4,0.5", "--lambdas", "1,a"], None, "--lambdas"),
+    (["spectrum", "--board", "BOARD", "--a", "x"], None, "--a"),
+    (["project", "--board", "BOARD", "--theta", "1,2"], None, "--theta"),
+    (["integrate", "--board", "BOARD", "--seg", "0,0,1"], None, "--seg"),
 ])
 def test_bad_input_exits_one_naming_it(argv, env, named, capsys, monkeypatch, tmp_path):
     if env is not None:

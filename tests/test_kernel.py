@@ -116,7 +116,7 @@ def _large_board(n: int, real: bool) -> Coloring:
 
 @pytest.mark.parametrize("theta", _LARGE_ANGLES)
 @pytest.mark.parametrize("n, real", [(24, False), (24, True), (32, False), (32, True)])
-def test_project_across_blocks_equals_chord_integrals(n, real, theta):
+def test_project_on_large_boards_equals_chord_integrals(n, real, theta):
     c, d = _large_board(n, real), Direction(theta)
     p = project(c, d)
     assert p.breakpoints.size == (n + 1) ** 2

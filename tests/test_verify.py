@@ -177,3 +177,5 @@ def test_perturbation_check_rejects_bad_parameters():
         perturbation_check(1, 10, seed=0)
     with pytest.raises(ValueError, match="trials"):
         perturbation_check(4, 0, seed=0)
+    with pytest.raises(ValueError, match="seed=-1"):
+        perturbation_check(4, 10, seed=-1)
