@@ -33,6 +33,8 @@ def calls() -> list[tuple[str, list[str]]]:
                     ["generate", "--n", str(n), "--seed", str(n), "--out", boards[n]]))
     for kind in ("constant", "parity", "stripes"):
         out.append((f"generate-{kind}-8", ["generate", "--n", "8", "--kind", kind]))
+    out.append(("generate-constant-minus-8",
+                ["generate", "--n", "8", "--kind", "constant", "--value", "-1"]))
     # tie-heavy boards, where the empty prefix ties and the search's
     # witness is the board entry
     tied = {}
@@ -84,6 +86,8 @@ def calls() -> list[tuple[str, list[str]]]:
                                   "500", "--seed", "6", "--lambdas", "-0.5,1"]),
         ("verify-lower", ["verify-lower", "--ns", "4,8"]),
         ("verify-lower-csv", ["verify-lower", "--ns", "4", "--format", "csv"]),
+        ("verify-lower-stripes-random", ["verify-lower", "--ns", "3",
+                                         "--fixtures", "stripes,random:3"]),
         ("verify-upper", ["verify-upper", "--ns", "4,8", "--trials", "2", "--seed", "7"]),
         ("verify-upper-csv", ["verify-upper", "--ns", "6", "--trials", "2", "--seed", "8",
                               "--format", "csv"]),

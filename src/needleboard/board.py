@@ -19,6 +19,7 @@ _MULT1 = 0xBF58476D1CE4E5B9
 _MULT2 = 0x94D049BB133111EB
 
 HEADER = "needleboard v1"
+KINDS = ("constant", "parity", "stripes", "random")  # the names make_board takes
 
 
 def mix64(x: int) -> int:
@@ -42,6 +43,16 @@ def _mix64_u64(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_side(n: int) -> None:
+    # Before any allocation: numpy's own errors for these sides name neither
+    # the side nor the board.  A side that numpy can describe but not
+    # allocate still raises MemoryError.
+    if n < 1:
+        raise ValueError(f"board side must be a positive integer, got {n}")
+    if 8 * int(n) ** 2 > np.iinfo(np.intp).max:
+        raise ValueError(f"board side {n} is too large for an n x n float64 array")
+
+
 @dataclass(frozen=True)
 class Coloring:
     """Immutable n x n board of cell values, indexed cells[i, j]."""
@@ -50,8 +61,7 @@ class Coloring:
     cells: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"board side must be a positive integer, got {self.n}")
+        _check_side(self.n)
         cells = np.array(self.cells, dtype=np.float64, copy=True)
         if cells.shape != (self.n, self.n):
             raise ValueError(f"cells must have shape ({self.n}, {self.n}), got {cells.shape}")
@@ -66,11 +76,13 @@ class Coloring:
 
 def make_constant(n: int, v: float) -> Coloring:
     """Board with every cell equal to v."""
+    _check_side(n)
     return Coloring(n, np.full((n, n), float(v)))
 
 
 def make_parity(n: int) -> Coloring:
     """Checkerboard: z_ij = +1 for even i+j, -1 for odd."""
+    _check_side(n)
     i = np.arange(n)
     return Coloring(n, np.where((i[:, None] + i[None, :]) % 2 == 0, 1.0, -1.0))
 
@@ -79,6 +91,7 @@ def make_stripes(n: int, axis: str) -> Coloring:
     """Stripes of constant sign: horizontal rows (-1)^j or vertical columns (-1)^i."""
     if axis not in ("horizontal", "vertical"):
         raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
+    _check_side(n)
     sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     cells = np.tile(sign, (n, 1)) if axis == "horizontal" else np.tile(sign[:, None], (1, n))
     return Coloring(n, cells)
@@ -99,8 +112,27 @@ def random_cell_values(seed: int | np.ndarray, i: np.ndarray, j: np.ndarray) -> 
 
 def make_random(n: int, seed: int) -> Coloring:
     """Deterministic +-1 board: sign of cell (i, j) from mixing (seed, i, j)."""
+    _check_side(n)
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     return Coloring(n, random_cell_values(seed, i, j))
+
+
+def make_board(kind: str, n: int, seed: int = 0, value: float = 1.0,
+               axis: str = "horizontal") -> Coloring:
+    """The n x n board of a kind named in KINDS.
+
+    `value` is read only by "constant", `axis` only by "stripes" and `seed`
+    only by "random"; each kind is its generator called with them.
+    """
+    if kind == "constant":
+        return make_constant(n, value)
+    if kind == "parity":
+        return make_parity(n)
+    if kind == "stripes":
+        return make_stripes(n, axis)
+    if kind == "random":
+        return make_random(n, seed)
+    raise ValueError(f"unknown board kind {kind!r}, expected one of {', '.join(KINDS)}")
 
 
 def sum_squares(c: Coloring) -> float:

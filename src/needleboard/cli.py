@@ -24,16 +24,7 @@ import sys
 from dataclasses import asdict, astuple
 
 from . import __version__
-from .board import (
-    BoardFormatError,
-    Coloring,
-    make_constant,
-    make_parity,
-    make_random,
-    make_stripes,
-    read_text,
-    write_text,
-)
+from .board import KINDS, BoardFormatError, Coloring, make_board, read_text, write_text
 from .geom import Segment, cell_crossings, integrate, integrate_mc
 from .radon import Chord, Direction, project
 from .search import best_chord, brute_force, scan_report
@@ -225,14 +216,7 @@ def _svg_board(c: Coloring, seg: Segment | None) -> str:
 
 
 def _cmd_generate(args) -> int:
-    if args.kind == "constant":
-        c = make_constant(args.n, args.value)
-    elif args.kind == "parity":
-        c = make_parity(args.n)
-    elif args.kind == "stripes":
-        c = make_stripes(args.n, args.axis)
-    else:
-        c = make_random(args.n, args.seed)
+    c = make_board(args.kind, args.n, seed=args.seed, value=args.value, axis=args.axis)
     buf = io.StringIO()
     write_text(c, buf)
     _write_text_out(args, buf.getvalue())
@@ -397,8 +381,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="write a board file")
     p.add_argument("--n", type=int, default=16)
-    p.add_argument("--kind", choices=("constant", "parity", "stripes", "random"),
-                   default="random")
+    p.add_argument("--kind", choices=KINDS, default="random")
     p.add_argument("--value", type=int, choices=(1, -1), default=1,
                    help="cell sign for --kind constant")
     p.add_argument("--axis", choices=("horizontal", "vertical"), default="horizontal",

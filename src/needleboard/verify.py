@@ -19,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .board import (
-    Coloring,
-    make_constant,
-    make_parity,
-    make_random,
-    make_stripes,
-    random_cell_values,
-)
+from .board import KINDS, Coloring, make_board, make_random, random_cell_values
 from .geom import Segment, cell_crossings, integrate
 from .search import best_chord, best_segment, default_angles
 from .spectral import certified_lower_bound
@@ -155,24 +148,19 @@ class LowerBoundRow:
 
 
 def _fixture_maker(descriptor: str) -> Callable[[int], Coloring]:
-    # The board maker of one fixture descriptor; a bad descriptor fails here,
-    # before any board is scanned.
-    if descriptor == "constant":
-        return lambda n: make_constant(n, +1)
-    if descriptor == "parity":
-        return make_parity
-    if descriptor == "stripes":
-        return lambda n: make_stripes(n, "horizontal")
-    if descriptor.startswith("random:"):
-        seed_text = descriptor.split(":", 1)[1]
-        try:
-            seed = int(seed_text)
-        except ValueError:
-            raise ValueError(
-                f"fixture {descriptor!r}: seed {seed_text!r} is not an integer"
-            ) from None
-        return lambda n: make_random(n, seed)
-    raise ValueError(f"unknown fixture descriptor {descriptor!r}")
+    # The board maker of one fixture descriptor, a board kind with ":SEED"
+    # after "random" and nothing after the others; a bad descriptor fails
+    # here, before any board is scanned.
+    kind, colon, seed_text = descriptor.partition(":")
+    if kind not in KINDS or bool(colon) != (kind == "random"):
+        raise ValueError(f"unknown fixture descriptor {descriptor!r}")
+    try:
+        seed = int(seed_text) if colon else 0
+    except ValueError:
+        raise ValueError(
+            f"fixture {descriptor!r}: seed {seed_text!r} is not an integer"
+        ) from None
+    return lambda n: make_board(kind, n, seed)
 
 
 def lower_scan_angles(n: int) -> int:

@@ -6,8 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from needleboard.board import (
+    KINDS,
     BoardFormatError,
     Coloring,
+    make_board,
     make_constant,
     make_parity,
     make_random,
@@ -52,6 +54,40 @@ def test_make_stripes_examples():
     assert np.all(v.cells[0, :] == 1.0) and np.all(v.cells[1, :] == -1.0)
     with pytest.raises(ValueError):
         make_stripes(2, "diagonal")
+
+
+def test_make_board_is_each_kinds_generator():
+    for n in range(1, 7):
+        for value in (1.0, -1.0):
+            assert make_board("constant", n, value=value) == make_constant(n, value)
+        assert make_board("constant", n) == make_constant(n, 1.0)
+        assert make_board("parity", n) == make_parity(n)
+        for axis in ("horizontal", "vertical"):
+            assert make_board("stripes", n, axis=axis) == make_stripes(n, axis)
+        assert make_board("stripes", n) == make_stripes(n, "horizontal")
+        for seed in (0, 1, 7, -5, 2**64 - 1):
+            assert make_board("random", n, seed=seed) == make_random(n, seed)
+        assert make_board("random", n) == make_random(n, 0)
+    assert set(KINDS) == {"constant", "parity", "stripes", "random"}
+
+
+def test_make_board_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown board kind 'checker'"):
+        make_board("checker", 4)
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: make_constant(n, 1), make_parity, lambda n: make_stripes(n, "vertical"),
+    lambda n: make_random(n, 3),
+], ids=["constant", "parity", "stripes", "random"])
+def test_generators_check_the_side_before_allocating(make):
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"^board side must be a positive integer, got {n}$"):
+            make(n)
+    # numpy could not describe these arrays, let alone allocate them
+    for n in (2**30, 10**30):
+        with pytest.raises(ValueError, match=f"^board side {n} is too large"):
+            make(n)
 
 
 def test_make_random_deterministic():

@@ -14,7 +14,7 @@ import pytest
 
 import needleboard
 from needleboard import (
-    brute_force, make_constant, make_parity, make_random, read_text, spectral, write_text,
+    KINDS, brute_force, make_constant, make_parity, make_random, read_text, spectral, write_text,
 )
 from needleboard import cli
 from needleboard.cli import main
@@ -306,6 +306,10 @@ def test_leading_minus_value_after_any_long_option(tmp_path, capsys):
     assert "--oracle" in capsys.readouterr().err
 
 
+# a side whose n x n float64 board is past numpy's largest array size
+_HUGE = str(10**30)
+
+
 @pytest.mark.parametrize("argv, env, named", [
     (["verify-upper", "--ns", "1,2", "--trials", "1"], None, "n=1"),
     (["verify-upper", "--ns", "4", "--trials", "0"], None, "trials"),
@@ -339,6 +343,14 @@ def test_leading_minus_value_after_any_long_option(tmp_path, capsys):
     (["spectrum", "--board", "BOARD", "--a", "x"], None, "--a"),
     (["project", "--board", "BOARD", "--theta", "1,2"], None, "--theta"),
     (["integrate", "--board", "BOARD", "--seg", "0,0,1"], None, "--seg"),
+    # board sides checked before numpy allocates
+    (["generate", "--kind", "constant", "--n", "-3"], None,
+     "board side must be a positive integer, got -3"),
+    (["generate", "--kind", "stripes", "--n", "-3"], None,
+     "board side must be a positive integer, got -3"),
+    (["generate", "--n", _HUGE], None, f"board side {_HUGE} is too large"),
+    (["verify-upper", "--ns", _HUGE, "--trials", "1"], None, f"board side {_HUGE} is too large"),
+    (["verify-lower", "--ns", _HUGE], None, f"board side {_HUGE} is too large"),
 ])
 def test_bad_input_exits_one_naming_it(argv, env, named, capsys, monkeypatch, tmp_path):
     if env is not None:
@@ -396,13 +408,27 @@ def test_help_and_version_exit_zero(capsys):
     assert "needleboard" in capsys.readouterr().out
 
 
-def _cli(argv, env=None, module="needleboard.cli"):
+def _child_env(env=None):
     # the child imports the package from the source tree this process uses,
     # installed or not
     src = os.path.dirname(os.path.dirname(os.path.abspath(needleboard.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    merged = dict(os.environ, PYTHONPATH=path, **(env or {}))
-    return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, env=merged)
+    return dict(os.environ, PYTHONPATH=path, **(env or {}))
+
+
+def _cli(argv, env=None, module="needleboard.cli"):
+    return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+                          env=_child_env(env))
+
+
+def test_cli_import_loads_neither_fractions_nor_decimal():
+    # Every CLI call pays its imports, and the benchmark's setup_s times a
+    # fresh import: fractions (with decimal) costs 2-5 ms after numpy, so
+    # geom imports it only for off-board segments.
+    code = "import sys, needleboard.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_child_env())
+    assert run.returncode == 0, run.stderr.decode()
+    assert run.stdout == b"[]\n"
 
 
 def test_python_dash_m_needleboard_runs_the_cli(tmp_path):
@@ -436,6 +462,13 @@ def test_threads_from_the_environment_give_the_one_thread_report(tmp_path):
         for run in (one, via_env):
             assert run.returncode == 0, run.stderr.decode()
         assert one.stdout == via_env.stdout
+
+
+def test_generate_offers_exactly_the_board_kinds():
+    assert KINDS == ("constant", "parity", "stripes", "random")
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "subcommand")
+    kind = next(a for a in sub.choices["generate"]._actions if a.dest == "kind")
+    assert tuple(kind.choices) == KINDS
 
 
 def test_report_matrix_calls_parse_and_cover_every_subcommand():

@@ -2,18 +2,21 @@
 scaling scan shape, certificate floors, and snapping stability."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from needleboard.board import make_random
+from needleboard.board import make_random, make_stripes
 from needleboard.geom import Segment, cell_crossings, integrate
+from needleboard.search import best_chord
 from needleboard.verify import (
     PerturbationReport,
     ScalingReport,
     TailExperiment,
     hoeffding_tail,
     lower_bound_scan,
+    lower_scan_angles,
     perturbation_check,
     upper_bound_scan,
     _snap,
@@ -148,6 +151,26 @@ def test_lower_bound_scan_rejects_bad_seed_before_scanning():
     # the bad descriptor comes last, at a size that would take minutes to scan
     with pytest.raises(ValueError, match="random:x"):
         lower_bound_scan(("parity", "random:x"), (256,))
+
+
+@pytest.mark.parametrize("descriptor, message", [
+    ("random", "unknown fixture descriptor 'random'"),
+    ("parity:3", "unknown fixture descriptor 'parity:3'"),
+    ("Parity", "unknown fixture descriptor 'Parity'"),
+    ("random:", "fixture 'random:': seed '' is not an integer"),
+    ("random:1:2", "fixture 'random:1:2': seed '1:2' is not an integer"),
+], ids=["random", "parity:3", "Parity", "random:", "random:1:2"])
+def test_lower_bound_scan_rejects_each_bad_descriptor_before_scanning(descriptor, message):
+    # as above: scanning the parity board first would take minutes
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lower_bound_scan(("parity", descriptor), (256,))
+
+
+def test_lower_bound_scan_fixtures_are_their_generators():
+    rows = lower_bound_scan(("random:-5", "stripes"), (3,))
+    assert [row.fixture for row in rows] == ["random:-5", "stripes"]
+    for row, c in zip(rows, (make_random(3, -5), make_stripes(3, "horizontal"))):
+        assert row.best_chord_value == best_chord(c, angles=lower_scan_angles(3))[1]
 
 
 def test_snap_is_identity_on_grid_points():
