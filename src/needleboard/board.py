@@ -20,6 +20,7 @@ _MULT2 = 0x94D049BB133111EB
 
 HEADER = "needleboard v1"
 KINDS = ("constant", "parity", "stripes", "random")  # the names make_board takes
+AXES = ("horizontal", "vertical")  # the orientations make_stripes takes
 
 
 def mix64(x: int) -> int:
@@ -74,26 +75,35 @@ class Coloring:
         return self.n == other.n and bool(np.array_equal(self.cells, other.cells))
 
 
+def _cells(n: int, v: float = 1.0) -> np.ndarray:
+    # The n x n cells, all v, requested before any length-n vector: a side
+    # that numpy can describe but not allocate raises MemoryError here,
+    # before gigabytes of index vectors are filled.
+    _check_side(n)
+    return np.full((n, n), float(v))
+
+
 def make_constant(n: int, v: float) -> Coloring:
     """Board with every cell equal to v."""
-    _check_side(n)
-    return Coloring(n, np.full((n, n), float(v)))
+    return Coloring(n, _cells(n, v))
 
 
 def make_parity(n: int) -> Coloring:
     """Checkerboard: z_ij = +1 for even i+j, -1 for odd."""
-    _check_side(n)
-    i = np.arange(n)
-    return Coloring(n, np.where((i[:, None] + i[None, :]) % 2 == 0, 1.0, -1.0))
+    cells = _cells(n)
+    cells[::2, 1::2] = cells[1::2, ::2] = -1.0
+    return Coloring(n, cells)
 
 
 def make_stripes(n: int, axis: str) -> Coloring:
     """Stripes of constant sign: horizontal rows (-1)^j or vertical columns (-1)^i."""
-    if axis not in ("horizontal", "vertical"):
-        raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
-    _check_side(n)
-    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    cells = np.tile(sign, (n, 1)) if axis == "horizontal" else np.tile(sign[:, None], (1, n))
+    if axis not in AXES:
+        raise ValueError(f"axis must be {' or '.join(map(repr, AXES))}, got {axis!r}")
+    cells = _cells(n)
+    if axis == "horizontal":
+        cells[:, 1::2] = -1.0
+    else:
+        cells[1::2] = -1.0
     return Coloring(n, cells)
 
 
@@ -112,9 +122,10 @@ def random_cell_values(seed: int | np.ndarray, i: np.ndarray, j: np.ndarray) -> 
 
 def make_random(n: int, seed: int) -> Coloring:
     """Deterministic +-1 board: sign of cell (i, j) from mixing (seed, i, j)."""
-    _check_side(n)
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return Coloring(n, random_cell_values(seed, i, j))
+    cells = _cells(n)
+    i = np.arange(n)
+    cells[...] = random_cell_values(seed, i[:, None], i[None, :])
+    return Coloring(n, cells)
 
 
 def make_board(kind: str, n: int, seed: int = 0, value: float = 1.0,

@@ -24,7 +24,7 @@ import sys
 from dataclasses import asdict, astuple
 
 from . import __version__
-from .board import KINDS, BoardFormatError, Coloring, make_board, read_text, write_text
+from .board import AXES, KINDS, BoardFormatError, Coloring, make_board, read_text, write_text
 from .geom import Segment, cell_crossings, integrate, integrate_mc
 from .radon import Chord, Direction, project
 from .search import best_chord, brute_force, scan_report
@@ -230,7 +230,7 @@ def _cmd_integrate(args) -> int:
     result = {
         "value": value,
         "crossings": len(crossings),
-        "covered_length": crossings.total_length(),
+        "covered_length": float(sum(e.length for e in crossings)),
     }
     if args.mc:
         result["mc_value"] = integrate_mc(c, args.seg, args.mc)
@@ -294,11 +294,7 @@ def _cmd_certify(args) -> int:
         "scan_angles": angles,
     })
     if vc < bound:
-        sys.stderr.write(
-            f"needleboard certify: contract failure: certificate {bound} "
-            f"exceeds best chord value {vc}\n"
-        )
-        return 2
+        raise RuntimeError(f"certificate {bound} exceeds best chord value {vc}")
     return 0
 
 
@@ -384,7 +380,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--kind", choices=KINDS, default="random")
     p.add_argument("--value", type=int, choices=(1, -1), default=1,
                    help="cell sign for --kind constant")
-    p.add_argument("--axis", choices=("horizontal", "vertical"), default="horizontal",
+    p.add_argument("--axis", choices=AXES, default="horizontal",
                    help="stripe orientation for --kind stripes")
     p.add_argument("--seed", type=int, default=0)
     common(p)

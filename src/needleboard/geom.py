@@ -50,25 +50,6 @@ class Crossing(NamedTuple):
     t_out: float
 
 
-@dataclass(frozen=True)
-class CrossingList:
-    """Per-cell pieces of a segment, ordered by arclength from its start."""
-
-    entries: tuple[Crossing, ...]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def lengths(self) -> np.ndarray:
-        return np.array([e.length for e in self.entries])
-
-    def total_length(self) -> float:
-        return float(sum(e.length for e in self.entries))
-
-
 def clip_line(px: float, py: float, dx: float, dy: float, n: int,
               lo: float = -math.inf, hi: float = math.inf):
     """Liang-Barsky clip: the part [r0, r1] of [lo, hi] where the point
@@ -136,9 +117,10 @@ def _next_crossing(k: int, w0: float, e0: float, c: float) -> float:
     return math.inf
 
 
-def cell_crossings(s: Segment, n: int) -> CrossingList:
+def cell_crossings(s: Segment, n: int) -> tuple[Crossing, ...]:
     """Exact decomposition of s intersected with [0, n]^2 into per-cell pieces.
 
+    Returns one Crossing per piece, ordered by arclength from s.a.
     Walks from the endpoint nearer the board, by L-infinity distance outside
     it with ties to s.a; when s.b is nearer, the reversed segment is walked
     and its pieces are reversed, so the walk starts at an endpoint whenever
@@ -163,17 +145,17 @@ def cell_crossings(s: Segment, n: int) -> CrossingList:
     if not math.isfinite(ln):
         raise ValueError(f"segment {s.a} -> {s.b}: its length is not a finite float")
     if ln == 0.0:
-        return CrossingList(())
+        return ()
     if _outside(s.b, n) < _outside(s.a, n):
-        back = cell_crossings(Segment(s.b, s.a), n).entries[::-1]
-        return CrossingList(tuple(e._replace(t_in=ln - e.t_out, t_out=ln - e.t_in) for e in back))
+        back = cell_crossings(Segment(s.b, s.a), n)[::-1]
+        return tuple(e._replace(t_in=ln - e.t_out, t_out=ln - e.t_in) for e in back)
     # The clipped segment runs from p0 to p1.  With both ends of s on the
     # board it is s itself, walked from s.a along (dx, dy).  Otherwise s.b
     # is off the board and the clip is exact: p0 and p1 are rationals.
     if _outside(s.b, n) > 0.0:
         clipped = _exact_clip(s.a, s.b, n)
         if clipped is None:
-            return CrossingList(())
+            return ()
         t0, p0, ((x0, ex0), (y0, ey0), (x1, ex1), (y1, ey1)) = clipped
     else:
         t0, p0 = 0.0, s.a
@@ -184,7 +166,7 @@ def cell_crossings(s: Segment, n: int) -> CrossingList:
     i = _entry_index(p0[0], dx, n)
     j = _entry_index(p0[1], dy, n)
     if i is None or j is None:
-        return CrossingList(())
+        return ()
     # The walk's coordinates are (x0 + ex0, y0 + ey0) + u (cx, cy), u in
     # [0, 1]: each end is a float plus its rounding error, so a line within
     # a rounding error of parallel to a gridline crosses it at the right
@@ -216,7 +198,7 @@ def cell_crossings(s: Segment, n: int) -> CrossingList:
         t = tn
         if not (0 <= i < n and 0 <= j < n):
             break
-    return CrossingList(tuple(entries))
+    return tuple(entries)
 
 
 def integrate(c: Coloring, s: Segment) -> float:

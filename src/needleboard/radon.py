@@ -534,7 +534,7 @@ def _walk_direction(c: Coloring, direction: Direction):
     for t in ts.tolist():
         seg = chord_segment(c.n, Chord(direction, t))
         cl = cell_crossings(seg, c.n)
-        pos = [cl.entries[0].t_in] if len(cl) else [0.0]
+        pos = [cl[0].t_in] if cl else [0.0]
         prefix = [0.0]
         acc = 0.0
         for e in cl:

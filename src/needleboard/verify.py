@@ -72,7 +72,7 @@ def hoeffding_tail(seg: Segment, n: int, trials: int, seed: int,
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     crossings = cell_crossings(seg, n)
-    lengths = np.array(crossings.lengths(), dtype=np.float64)
+    lengths = np.array([e.length for e in crossings], dtype=np.float64)
     sigma = math.sqrt(float(np.sum(lengths**2)))
     if sigma == 0.0:
         raise ValueError("segment does not cross the board (sigma = 0)")

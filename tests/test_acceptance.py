@@ -176,7 +176,7 @@ def test_criterion_08_geometry_exactness():
     for _ in range(10_000):
         a, b = rng.uniform(-2.0, 18.0, (2, 2))
         seg = Segment((a[0], a[1]), (b[0], b[1]))
-        covered = cell_crossings(seg, 16).total_length()
+        covered = sum(e.length for e in cell_crossings(seg, 16))
         clipped = _clip_length(seg, 16)
         gap = abs(covered - clipped)
         worst_rel = max(worst_rel, gap / clipped if clipped > 0.0 else gap)

@@ -71,6 +71,11 @@ def test_make_board_is_each_kinds_generator():
     assert set(KINDS) == {"constant", "parity", "stripes", "random"}
 
 
+def test_make_stripes_rejects_an_unknown_axis_naming_both():
+    with pytest.raises(ValueError, match="^axis must be 'horizontal' or 'vertical', got 'diagonal'$"):
+        make_stripes(2, "diagonal")
+
+
 def test_make_board_rejects_an_unknown_kind():
     with pytest.raises(ValueError, match="unknown board kind 'checker'"):
         make_board("checker", 4)

@@ -10,13 +10,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import needleboard
 from needleboard import (
-    KINDS, brute_force, make_constant, make_parity, make_random, read_text, spectral, write_text,
+    AXES, KINDS, best_chord, brute_force, make_constant, make_parity, make_random, read_text,
+    spectral, write_text,
 )
-from needleboard import cli
+from needleboard import cli, verify
 from needleboard.cli import main
 
 
@@ -165,6 +167,37 @@ def test_memory_exhaustion_exits_1_without_a_traceback(tmp_path, capsys, argv):
     assert err[0].startswith(f"needleboard: {argv[0]}: out of memory: Unable to allocate")
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_huge_side_runs_out_of_memory_before_any_index_vector(kind, tmp_path, capsys,
+                                                                monkeypatch):
+    # At n = 2^29 one length-n int64 vector is 4 GiB, and the n x n board
+    # (2 EiB) cannot exist: the board must be requested first.  Nothing
+    # large is allocated here, since the n x n request raises MemoryError
+    # and a length-n vector fails the test.
+    n = 2**29
+    full, arange = np.full, np.arange
+
+    def board_request(shape, *args, **kwargs):
+        if shape == (n, n):
+            raise MemoryError(f"Unable to allocate the {n} x {n} board")
+        return full(shape, *args, **kwargs)
+
+    def index_vector(*args, **kwargs):
+        if any(isinstance(a, (int, np.integer)) and a >= n for a in args):
+            pytest.fail(f"np.arange{args} requested before the n x n board")
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "full", board_request)
+    monkeypatch.setattr(np, "arange", index_vector)
+    out = tmp_path / "board.txt"
+    assert main(["generate", "--n", str(n), "--kind", kind, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"needleboard: generate: out of memory: "
+                            f"Unable to allocate the {n} x {n} board\n")
+    assert not out.exists()
+
+
 def test_project_csv_profile(tmp_path, capsys):
     board = _board_file(tmp_path, make_parity(4))
     rc = main(["project", "--board", board, "--theta", "0.3", "--format", "csv"])
@@ -182,6 +215,35 @@ def test_certify_reports_sound_pair(tmp_path, capsys):
     res = doc["result"]
     assert 0.0 < res["certificate"] <= res["best_chord"]["value"]
     assert res["radius"] == 1.0
+
+
+def _certificate_above_every_chord(c):
+    # a chord is at most sqrt(2) n max|z| long, so 2n beats every one
+    return 2.0 * c.n, 1.0
+
+
+def test_certify_contract_failure_exits_2_after_the_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "certified_lower_bound", _certificate_above_every_chord)
+    board = _board_file(tmp_path, make_parity(4))
+    assert main(["certify", "--board", board]) == 2
+    captured = capsys.readouterr()
+    res = json.loads(captured.out)["result"]
+    assert res["certificate"] == 8.0
+    assert captured.err == (f"needleboard: contract failure: certificate 8.0 exceeds "
+                            f"best chord value {res['best_chord']['value']}\n")
+
+
+def test_verify_lower_contract_failure_exits_2_without_a_report(tmp_path, capsys,
+                                                               monkeypatch):
+    monkeypatch.setattr(verify, "certified_lower_bound", _certificate_above_every_chord)
+    out = tmp_path / "rows.json"
+    assert main(["verify-lower", "--ns", "4", "--fixtures", "parity", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert not out.exists()
+    _, v = best_chord(make_parity(4), angles=verify.lower_scan_angles(4))
+    assert captured.err == (f"needleboard: contract failure: certificate 8.0 exceeds "
+                            f"chord maximum {v} on fixture parity at n=4\n")
 
 
 def test_spectrum_split_and_slice(tmp_path, capsys):
@@ -469,6 +531,13 @@ def test_generate_offers_exactly_the_board_kinds():
     sub = next(a for a in cli._build_parser()._actions if a.dest == "subcommand")
     kind = next(a for a in sub.choices["generate"]._actions if a.dest == "kind")
     assert tuple(kind.choices) == KINDS
+
+
+def test_generate_offers_exactly_the_stripe_axes():
+    assert AXES == ("horizontal", "vertical")
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "subcommand")
+    axis = next(a for a in sub.choices["generate"]._actions if a.dest == "axis")
+    assert tuple(axis.choices) == AXES
 
 
 def test_report_matrix_calls_parse_and_cover_every_subcommand():

@@ -51,7 +51,7 @@ def test_sigma_chain_bound():
     for _ in range(30):
         seg = Segment(tuple(rng.uniform(0, n, 2)), tuple(rng.uniform(0, n, 2)))
         cr = cell_crossings(seg, n)
-        total = cr.total_length()
+        total = sum(e.length for e in cr)
         if total == 0.0:
             continue
         te = hoeffding_tail(seg, n, trials=2, seed=1, lambdas=(1.0,))
@@ -64,7 +64,7 @@ def test_trials_reproduce_per_seed_colorings():
     # for seed seed+1+t, restricted to the crossed cells
     seg = Segment((0.3, 0.2), (7.4, 6.9))
     cr = cell_crossings(seg, 8)
-    lengths = np.array(cr.lengths())
+    lengths = np.array([e.length for e in cr])
     i = np.array([e.i for e in cr])
     j = np.array([e.j for e in cr])
     signs = _trial_signs(42, 4, i, j)
