@@ -24,8 +24,9 @@ of its top, and of its bottom.
   chord, top and bottom are exact integers times fl(|v|/den).  The sums
   along each line are taken in place, one block of A rows of lattice
   points after another, and read off at the line's ends; every array the
-  size of the lattice box is carved from one float buffer that the caller
-  passes in.
+  size of the lattice box is carved from one byte buffer that the caller
+  passes in, viewed at the pass's dtype: int16 or int32 on an integer
+  board, wherever a proved bound on the sums fits, and float64 otherwise.
 - orbit_scan is the core's only caller, and the only code that knows the
   dihedral orbits {(+-A, +-B), (+-B, +-A)}: it groups a list of directions
   by orbit and runs the core once per orbit, over all of them in one
@@ -69,8 +70,9 @@ _AXIS_SNAP = 1e-12  # angles this close to 0 or pi/2 are treated as exact
 _DEDUP = 1e-12  # breakpoint collision tolerance (absolute)
 _TIE = 1e-12  # ties: see tie_tolerance
 # box points per _lattice_core pass over a stack of boards: the pass carves
-# five arrays of about this many floats from its buffer (pad, acc, hi, lo
-# and tmp: 1.3 MB), which stay in a 2 MB L2
+# five arrays of about this many entries from its buffer (pad, acc, hi, lo
+# and tmp: 1.3 MB in float64, 655 kB in int32, 328 kB in int16), which stay
+# in a 2 MB L2
 _STACK = 1 << 15
 
 
@@ -366,8 +368,10 @@ def orbit_scan(c: Coloring, dirs):
     the whole orbit (or a few passes, past about n = 90, to keep each
     stack within _STACK box points).  The lines come back by
     m -> det(g)*m + const, reversed where det(g) = -1.  Every pass of the
-    scan works in one buffer, which at least doubles when a stack needs
-    more, so a scan grows it a few times, not once per orbit.
+    scan works in one byte buffer, which at least doubles when a stack needs
+    more, so a scan grows it a few times, not once per orbit.  Each pass
+    views it at the dtype _sum_dtype picks for the orbit: whether the board
+    is integer is decided once per scan.
 
     Yields, per orbit, the indices into `dirs` of its members and a
     (3, len(indices), lines) array: row [:, k] equals the chord, top and
@@ -377,7 +381,9 @@ def orbit_scan(c: Coloring, dirs):
     orbits: dict[tuple[int, int], list[int]] = {}
     for k, v in enumerate(dirs):
         orbits.setdefault(tuple(sorted(map(abs, v), reverse=True)), []).append(k)
-    ws = np.empty(0)
+    integer = bool(np.array_equal(c.cells, np.rint(c.cells)))
+    zmax = max(float(np.abs(c.cells).max()), 1.0)
+    ws = np.empty(0, dtype=np.uint8)
     for (A, B), ks in orbits.items():
         if math.gcd(A, B) != 1:
             raise ValueError(f"lattice direction must be primitive, got {tuple(dirs[ks[0]])}")
@@ -386,14 +392,23 @@ def orbit_scan(c: Coloring, dirs):
             board, det = _onto(c.cells, _along_uperp(*dirs[k]))
             boards.append(board)
             flip.append(det < 0)
+        dtype = _sum_dtype(zmax * c.n * max(B, 1)) if integer else np.float64
         per = max(1, _STACK // ((c.n + A) * (c.n + B)))
         parts = []
         for lo in range(0, len(boards), per):
-            part, ws = _lattice_core(boards[lo:lo + per], A, B, ws)
+            part, ws = _lattice_core(boards[lo:lo + per], A, B, ws, dtype)
             parts.append(part)
         out = np.concatenate(parts, axis=1)
         out[:, flip] = out[:, flip, ::-1]
         yield ks, out
+
+
+def _sum_dtype(bound: float):
+    # the narrowest of int16, int32 and float64 that holds every integer of
+    # magnitude at most bound (the bound of _lattice_core's comment)
+    if bound < 1 << 15:
+        return np.int16
+    return np.int32 if bound < 1 << 31 else np.float64
 
 
 def _onto(cells: np.ndarray, v: tuple[int, int]):
@@ -422,7 +437,7 @@ def _lines(n: int, dx: int, dy: int) -> np.ndarray:
     return np.flatnonzero(hit) + m0
 
 
-def _lattice_core(boards, A: int, B: int, ws: np.ndarray):
+def _lattice_core(boards, A: int, B: int, ws: np.ndarray, dtype):
     # The kernel: every lattice line of the primitive v = (A, B), A >= B >= 0,
     # on each of the K (n, n) boards at once.  A step v from a lattice point
     # p crosses the cells p + d_q over lengths l_q, q < P = A + B - 1,
@@ -433,11 +448,28 @@ def _lattice_core(boards, A: int, B: int, ws: np.ndarray):
     # line.  Periods off the board add exact zeros, so they change no value
     # and no first crossing.  Every large array has one entry per board and
     # box point, whatever P is (no pieces x points array is formed), and is
-    # carved from the float buffer ws, or from one at least twice its size
-    # made in its place when ws is too small.  Lengths are integers in
-    # units of |v| / den, so on a +-1 board every sum is exact until the
-    # one scaling at the end.  Returns chord, top and bottom as a (3, K,
+    # carved from the byte buffer ws, viewed at dtype, or from one at least
+    # twice its size made in its place when ws is too small.  Lengths are
+    # integers in units of |v| / den, so on an integer board every sum is
+    # an integer until the one scaling at the end, and the sums run in
+    # dtype: float64, or an integer dtype that holds each of them.  They go
+    # back to float64 before that scaling, so every dtype that holds the
+    # sums gives the same bits.  Returns chord, top and bottom as a (3, K,
     # lines) array, lines in the order of _lines, and the buffer.
+    #
+    # The bound: on integer boards with |z| <= Z, every value the pass
+    # stores is at most Z * n * max(B, 1) in magnitude, so orbit_scan picks
+    # dtype by _sum_dtype of that (Z at least 1, so that each l_q fits as
+    # well).  Every pad entry is a z or 0, and every tmp entry one z * l_q
+    # with l_q <= max(B, 1).  Every acc entry, during the piece loop and
+    # after the line stage, is a sum of z * l_q over pieces of one line;
+    # every hi and lo entry is 0 or one of those sums, or the max or min of
+    # some.  A piece adds a nonzero only if its cell is on the board, and
+    # then it lies in the strip 0 <= x <= n.  The pieces of one line are
+    # disjoint, and x grows along the line (A >= 1), so their x-extents add
+    # up to at most n.  A step spans den units and A in x, so those pieces
+    # hold at most n * den / A = n * max(B, 1) units, and each sum is at
+    # most Z times that.  The diagonal chord of a constant board meets it.
     K, n = len(boards), boards[0].shape[0]
     # piece q of a step runs from keys[q] / den to keys[q + 1] / den of it
     # (the merge of i / A and j / B), over keys[q + 1] - keys[q] units; its
@@ -446,26 +478,29 @@ def _lattice_core(boards, A: int, B: int, ws: np.ndarray):
     keys = np.array(sorted({*range(0, den + 1, max(B, 1)), *range(0, den + 1, A)}))
     mid = keys[:-1] + keys[1:]
     ox, oy = mid * A // (2 * den), mid * B // (2 * den)
-    # as floats: numpy multiplies by a float scalar faster than by an int
-    ell = np.diff(keys).astype(float).tolist()
+    # in dtype's kind: numpy multiplies float64 by a float scalar faster
+    # than by an int
+    ell = np.diff(keys).astype(dtype).tolist()
 
     # the box of lattice points whose period meets the board: point (i, j)
     # is p = (i - ex, j - ey), and its piece q is pad[:, i + ox[q], j + oy[q]]
     ex, ey = int(ox.max()), int(oy.max())
     nx, ny = n + ex, n + ey
     size, box = K * (n + 2 * ex) * (n + 2 * ey), K * nx * ny
-    if ws.size < size + 4 * box + 1:
-        ws = np.empty(max(size + 4 * box + 1, 2 * ws.size))
-    ws[:size + 3 * box + 1] = 0.0
-    pad = ws[:size].reshape(K, n + 2 * ex, n + 2 * ey)
+    need = (size + 4 * box + 1) * np.dtype(dtype).itemsize
+    if ws.size < need:
+        ws = np.empty(max(need, 2 * ws.size), dtype=np.uint8)
+    buf = ws[:need].view(dtype)
+    buf[:size + 3 * box + 1] = 0
+    pad = buf[:size].reshape(K, n + 2 * ex, n + 2 * ey)
     for k, board in enumerate(boards):
         pad[k, ex:ex + n, ey:ey + n] = board
     # acc, hi and lo (hi, lo: 0 included), then a zero that stands for "no
     # point", and tmp
-    flat = ws[size:size + 3 * box + 1]
+    flat = buf[size:size + 3 * box + 1]
     sums = flat[:-1].reshape(3, K, nx, ny)
     acc, hi, lo = sums
-    tmp = ws[size + 3 * box + 1:size + 4 * box + 1].reshape(K, nx, ny)
+    tmp = buf[size + 3 * box + 1:].reshape(K, nx, ny)
     for i, j, w in zip(ox.tolist(), oy.tolist(), ell):
         piece = pad[:, i:i + nx, j:j + ny]
         acc += piece if w == 1 else np.multiply(piece, w, out=tmp)
@@ -499,7 +534,7 @@ def _lattice_core(boards, A: int, B: int, ws: np.ndarray):
     at += (m * wx + ex) * ny + m * wy + ey  # the line's step 0, in the box
     at = np.arange(0, 3 * box, nx * ny).reshape(3, K, 1) + at[:, None]
     at[:, :, first > last] = 3 * box
-    out = np.take(flat, at)
+    out = np.take(flat, at).astype(np.float64, copy=False)
     out *= math.sqrt(A * A + B * B) / den
     return out, ws
 

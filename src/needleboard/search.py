@@ -135,19 +135,16 @@ def _lattice_directions(n: int, budget: int | None = None) -> list[tuple[int, in
     # <= n and dy > 0, or (dx, dy) = (1, 0); the chord runs along (dx, dy),
     # so the offset axis is its normal.  A budget keeps the shortest vectors
     # (ties to the smaller angle); the result is sorted by angle.
-    vecs = [
-        (dx, dy)
-        for dy in range(n + 1)
-        for dx in range(-n, n + 1)
-        if (dy == 0 and dx == 1) or (dy > 0 and math.gcd(dx, dy) == 1)
-    ]
-    vecs.sort(key=lambda v: v[0] * v[0] + v[1] * v[1])
-    if budget is not None and budget < len(vecs):  # angles only where the cut needs them
-        r2 = vecs[budget - 1][0] ** 2 + vecs[budget - 1][1] ** 2
-        vecs = [v for v in vecs if v[0] * v[0] + v[1] * v[1] <= r2]
-    theta = {v: Direction.along(*v).theta for v in vecs}
-    vecs.sort(key=lambda v: (v[0] * v[0] + v[1] * v[1], theta[v]))
-    return sorted(vecs[:budget], key=theta.__getitem__)
+    dx, dy = np.meshgrid(np.arange(-n, n + 1), np.arange(n + 1))
+    keep = (np.gcd(dx, dy) == 1) & ((dy > 0) | (dx == 1))
+    dx, dy = dx[keep], dy[keep]
+    r2 = dx * dx + dy * dy
+    if budget is not None and budget < r2.size:  # angles only where the cut needs them
+        cut = r2 <= np.partition(r2, budget - 1)[budget - 1]
+        dx, dy, r2 = dx[cut], dy[cut], r2[cut]
+    vecs = list(zip(dx.tolist(), dy.tolist()))
+    ranked = sorted(zip(r2.tolist(), [Direction.along(*v).theta for v in vecs], vecs))
+    return [v for _, _, v in sorted(ranked[:budget], key=lambda e: e[1])]
 
 
 def brute_force(c: Coloring) -> DiscrepancyReport:

@@ -1,4 +1,4 @@
-"""Hypothesis board strategy shared by the kernel and search tests."""
+"""Hypothesis board strategies shared by the kernel and search tests."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -24,3 +24,15 @@ def boards(draw, max_n=12, real=True):
             else st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
     values = draw(st.lists(cell, min_size=n * n, max_size=n * n))
     return Coloring(n, np.array(values).reshape(n, n))
+
+
+@st.composite
+def integer_boards(draw, max_n=12):
+    # a board with n <= max_n of integer cells in [-z, z]: at n = 12, z = 1
+    # and 5 keep the kernel's sums in int16, z = 300 puts the directions
+    # with min(|dx|, |dy|) >= 10 in int32, 3000 and 2^20 put nearly all of
+    # them there, and 2^40 every one in float64
+    n = draw(st.integers(1, max_n))
+    z = draw(st.sampled_from([1, 5, 300, 3000, 1 << 20, 1 << 40]))
+    values = draw(st.lists(st.integers(-z, z), min_size=n * n, max_size=n * n))
+    return Coloring(n, np.array(values, dtype=np.float64).reshape(n, n))

@@ -22,11 +22,18 @@ and at generic angles.  orbit_scan, the search's batched call of the same
 kernel, is checked against lattice_scan bit for bit, with a shuffled subset
 of a board's directions in one call (orbits cut as a budget cuts them, one
 reused buffer) and at n = 96, where an orbit's boards split into two
-stacks.
+stacks.  On integer boards (strategies.integer_boards, |z| up to 2^40)
+every kernel pass at the dtype orbit_scan picks (int16, int32 or float64)
+gives the bytes of the same pass in float64, at n 1-12 over every
+direction and at n = 100 where one scan mixes int16 and int32 orbits; the
+float64 pass never stores a value above the bound that picked the dtype,
+constant boards meet that bound, and boards whose bound sits just below
+and at 2^15 get int16 and int32.
 """
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,7 +56,7 @@ from needleboard.radon import (
     project,
 )
 from needleboard.search import _lattice_directions, brute_force, scan_report
-from strategies import boards
+from strategies import boards, integer_boards
 
 _GAP = 1e-3  # generic angles keep this distance from 0, pi/2 and pi
 
@@ -357,6 +364,147 @@ def test_orbit_scan_equals_lattice_scan_bit_for_bit(case):
             assert np.array_equal(out[2, k], scan.bottom)
         seen += ks
     assert sorted(seen) == list(range(len(dirs)))
+
+
+@st.composite
+def integer_orbit_cases(draw):
+    # an integer board and all its lattice directions, shuffled
+    c = draw(integer_boards())
+    dirs = _lattice_directions(c.n)
+    draw(st.randoms(use_true_random=False)).shuffle(dirs)
+    return c, dirs
+
+
+def _mixed_board(n: int, z: int) -> Coloring:
+    # integer cells in [-z, z], both ends included
+    cells = np.random.default_rng(n).integers(-z, z + 1, (n, n)).astype(float)
+    cells[0, 0], cells[-1, -1] = z, -z
+    return Coloring(n, cells)
+
+
+@settings(max_examples=60)
+@given(integer_orbit_cases())
+# z = 300 at n = 12: orbits with B <= 9 sum in int16, B >= 10 in int32
+@example((_mixed_board(12, 300), [(1, 1), (11, 10), (2, 1), (-10, 11), (1, 0), (12, 11)]))
+# z = 5 at n = 100: B <= 65 in int16 (the bound is 32,500), B >= 66 in
+# int32; the long orbits run one board per pass, and the scan's buffer
+# switches dtype at every orbit
+@example((_mixed_board(100, 5), [(1, 1), (67, 66), (65, 64), (-70, 97), (1, 0), (-66, 67),
+                                 (99, 65), (97, 70), (-1, 1), (100, 99), (-64, 65)]))
+def test_integer_sums_equal_float64_sums_bit_for_bit(case):
+    # every _lattice_core pass at the dtype orbit_scan picks gives the bytes
+    # of the same pass at float64, and orbit_scan stays lattice_scan's
+    c, dirs = case
+    core = radon._lattice_core
+
+    def both(boards, A, B, ws, dtype):
+        out, ws = core(boards, A, B, ws, dtype)
+        want, _ = core(boards, A, B, np.empty(0, np.uint8), np.float64)
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+        return out, ws
+
+    with mock.patch.object(radon, "_lattice_core", both):
+        scans = list(orbit_scan(c, dirs))
+    for ks, out in scans:
+        for k, i in enumerate(ks):
+            scan = lattice_scan(c, *dirs[i])
+            assert out[:, k].tobytes() == np.stack([scan.chord, scan.top, scan.bottom]).tobytes()
+
+
+class _Watch:
+    # numpy for radon, recording the largest magnitude in the float arrays
+    # that np.maximum, np.minimum and np.multiply read or write (the int64
+    # line indices of _steps are not sums)
+    def __init__(self):
+        self.peak = 0.0
+
+    def _see(self, *arrays):
+        for a in arrays:
+            if isinstance(a, np.ndarray) and a.dtype.kind == "f" and a.size:
+                self.peak = max(self.peak, float(np.abs(a).max()))
+
+    def __getattr__(self, name):
+        f = getattr(np, name)
+        if name not in ("maximum", "minimum", "multiply"):
+            return f
+
+        def watched(*args, **kwargs):
+            self._see(*args)
+            out = f(*args, **kwargs)
+            self._see(out)
+            return out
+        return watched
+
+
+def _peaks(c, dirs):
+    # Per orbit of orbit_scan(c, dirs): the bound that picked its dtype,
+    # and the largest magnitude its passes store when they run at float64.
+    # That is every value the watched calls read or write (each piece's
+    # tmp, each acc of the piece loop, each hi and lo before and after a
+    # max or min) and every entry of the buffer at the end (the line
+    # stage's acc); the buffer starts zeroed and large enough that the
+    # pass makes no other.
+    pick, core, peaks = radon._sum_dtype, radon._lattice_core, []
+
+    def sum_dtype(bound):
+        peaks.append([bound, 0.0])
+        return pick(bound)
+
+    def float_core(boards, A, B, ws, dtype):
+        n = boards[0].shape[0]
+        buf = np.zeros(5 * len(boards) * (n + 2 * A) * (n + 2 * B) + 1)
+        watch = _Watch()
+        with mock.patch.object(radon, "np", watch):
+            out, ws = core(boards, A, B, buf.view(np.uint8), np.float64)
+        assert ws.base is buf
+        peaks[-1][1] = max(peaks[-1][1], watch.peak, float(np.abs(buf).max()))
+        return out, ws
+
+    with mock.patch.object(radon, "_sum_dtype", sum_dtype), \
+            mock.patch.object(radon, "_lattice_core", float_core):
+        for _ in orbit_scan(c, dirs):
+            pass
+    return peaks
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+def test_kernel_sums_stay_within_the_bound_that_picks_their_dtype(n):
+    # on a constant board every orbit meets its bound (the diagonal chord
+    # from the origin); on random integer boards none exceeds it
+    dirs = _lattice_directions(n)
+    for z in (1.0, -3.0, 40.0):
+        for bound, peak in _peaks(make_constant(n, z), dirs):
+            assert peak == bound
+    for z in (1, 7, 1000):
+        for bound, peak in _peaks(_mixed_board(n, z), dirs):
+            assert peak <= bound
+
+
+@pytest.mark.parametrize("c, dirs, want", [
+    # the bound 4681 * 7 * max(B, 1) is 2^15 - 1 at B <= 1, 2 (2^15 - 1) at B = 2
+    (make_constant(7, 4681.0), [(1, 1), (2, 1), (3, 2), (1, 0)], ["int16", "int16", "int32", "int16"]),
+    (make_constant(7, -4681.0), [(1, 1)], ["int16"]),
+    # 4096 * 8 = 2^15
+    (make_constant(8, 4096.0), [(1, 1), (1, 0)], ["int32", "int32"]),
+    (make_constant(8, 4096.5), [(1, 1)], ["float64"]),
+])
+def test_sums_at_the_int16_edge_pick_int16_below_it_and_int32_at_it(c, dirs, want):
+    # the int16 board reaches 2^15 - 1 on its diagonal and still gives the
+    # float64 bytes
+    core, got = radon._lattice_core, []
+
+    def spy(boards, A, B, ws, dtype):
+        got.append(np.dtype(dtype).name)
+        return core(boards, A, B, ws, dtype)
+
+    with mock.patch.object(radon, "_lattice_core", spy):
+        scans = list(orbit_scan(c, dirs))
+    assert got == want
+    with mock.patch.object(radon, "_sum_dtype", lambda bound: np.float64):
+        assert [out.tobytes() for _, out in scans] == [
+            out.tobytes() for _, out in orbit_scan(c, dirs)]
+    chord = lattice_scan(c, 1, 1).chord
+    assert np.abs(chord).max() == abs(c.cells[0, 0]) * c.n * math.sqrt(2)
 
 
 def test_lattice_scan_rejects_non_primitive_vectors():

@@ -245,6 +245,30 @@ def test_smaller_budget_is_a_prefix_of_a_larger_one():
     assert prev == set(full)
 
 
+def _lattice_directions_oracle(n, budget=None):
+    # the enumeration _lattice_directions replaced: gcd per candidate in
+    # Python, a sort by length, and angles for the vectors the cut keeps
+    vecs = [(dx, dy) for dy in range(n + 1) for dx in range(-n, n + 1)
+            if (dy == 0 and dx == 1) or (dy > 0 and math.gcd(dx, dy) == 1)]
+    vecs.sort(key=lambda v: v[0] * v[0] + v[1] * v[1])
+    if budget is not None and budget < len(vecs):
+        r2 = vecs[budget - 1][0] ** 2 + vecs[budget - 1][1] ** 2
+        vecs = [v for v in vecs if v[0] * v[0] + v[1] * v[1] <= r2]
+    theta = {v: Direction.along(*v).theta for v in vecs}
+    vecs.sort(key=lambda v: (v[0] * v[0] + v[1] * v[1], theta[v]))
+    return sorted(vecs[:budget], key=theta.__getitem__)
+
+
+@pytest.mark.parametrize("n", [*range(1, 40), 64, 100])
+def test_lattice_directions_equal_the_python_enumeration(n):
+    # the same pairs in the same order, as Python ints, at every budget
+    # shape: one vector, a cut inside a ring of equal lengths, and none
+    for budget in (None, 1, 2, 5, 256, 1024, 10**6):
+        got = _lattice_directions(n, budget)
+        assert got == _lattice_directions_oracle(n, budget)
+        assert all(type(x) is int for v in got for x in v)
+
+
 def test_best_segment_witness_integral_matches_value():
     from needleboard.geom import integrate
 
