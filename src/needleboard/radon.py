@@ -20,28 +20,35 @@ of its top, and of its bottom.
   evaluates every breakpoint chord of one primitive vector (A, B) with
   A >= B >= 0 from shifted sums over the zero-padded board, with no float
   sort, clip or deduplication, for a stack of boards at once.  It sums
-  integer piece lengths and scales by |v|/den once, so on a +-1 board
-  chord, top and bottom are exact integers times fl(|v|/den).  The sums
-  along each line are taken in place, one block of A rows of lattice
-  points after another, and read off at the line's ends; every array the
-  size of the lattice box is carved from one byte buffer that the caller
-  passes in, viewed at the pass's dtype: int16 or int32 on an integer
-  board, wherever a proved bound on the sums fits, and float64 otherwise.
-- orbit_scan is the core's only caller, and the only code that knows the
-  dihedral orbits {(+-A, +-B), (+-B, +-A)}: it groups a list of directions
-  by orbit and runs the core once per orbit, over all of them in one
-  buffer.  _onto, the only code that orients a board, moves each member's
-  board by the signed permutation that carries the member onto (A, B),
-  which keeps every piece and its order, so its chord and prefix arrays
-  equal those of the member itself bit for bit.  A zero entry keeps its
-  sign, so axis chords, which run along columns or rows and may lie on
-  gridlines, keep half-open ownership: the gridline t = k belongs to line
-  k and t = n to none, so the profile steps at integer offsets instead of
-  staying continuous.  It builds no witnesses.
-- lattice_scan is orbit_scan's call for one board and one direction, plus
-  the witness of the best segment, walked on the winning line alone in
-  exact integers.  It serves the search's two winners and the two axis
-  directions (theta = 0, pi/2) of project and the per-direction maxima.
+  integer piece lengths, in place, one block of A rows of lattice points
+  after another, and leaves per box point the running sum and the largest
+  and smallest prefix from there to its line's end; every array the size
+  of the lattice box is carved from one byte buffer that the caller passes
+  in, viewed at the pass's dtype: int16 or int32 on an integer board,
+  wherever a proved bound on the sums fits, and float64 otherwise.  Two
+  read-offs take values from that box and scale each once by |v|/den, so
+  on a +-1 board every value is an exact integer times fl(|v|/den):
+  _line_rows reads chord, top and bottom at each line's ends, and
+  _box_maxima reads only each board's largest |chord| and prefix range,
+  in a few whole-array calls.
+- _passes is the only code that knows the dihedral orbits {(+-A, +-B),
+  (+-B, +-A)}: it groups a list of directions by orbit and runs the core
+  once per orbit, over all of them in one buffer.  _onto, the only code
+  that orients a board, moves each member's board by the signed
+  permutation that carries the member onto (A, B), which keeps every
+  piece and its order, so its sums equal those of the member itself bit
+  for bit.  A zero entry keeps its sign, so axis chords, which run along
+  columns or rows and may lie on gridlines, keep half-open ownership: the
+  gridline t = k belongs to line k and t = n to none, so the profile
+  steps at integer offsets instead of staying continuous.
+- orbit_scan, the search's route, runs _passes over all of its
+  directions and _box_maxima on each pass: each direction's largest
+  |chord| and prefix range, no per-line rows and no witnesses.
+- lattice_scan runs _passes for one board and one direction and
+  _line_rows on its pass, plus the witness of the best segment, walked
+  on the winning line alone in exact integers.  It serves the search's
+  two winners and the two axis directions (theta = 0, pi/2) of project
+  and the per-direction maxima.
 - Off the axes, project and max_chord_in_direction read the chord profile
   from ramp moments (_ramp_profile): running sums of the board's mixed
   second difference in the order of the breakpoints, exact integers on a
@@ -201,12 +208,6 @@ def _witness(s: list, prefix, tie: float) -> tuple:
     return s[_first_max(prefix, tie)], s[_first_max(-prefix, tie)]
 
 
-def _first_maxima(values: np.ndarray, tie: float) -> np.ndarray:
-    # _first_max of each row, as the values it picks
-    i = np.argmax(values >= values.max(axis=1, keepdims=True) - tie, axis=1)
-    return values[np.arange(len(values)), i]
-
-
 class OffsetScan(NamedTuple):
     """Kernel output for one direction: per-offset arrays and one witness.
 
@@ -319,12 +320,14 @@ def lattice_scan(c: Coloring, dx: int, dy: int) -> OffsetScan:
 
     The chords run along v = +-(dx, dy), signed to point along uperp, and the
     breakpoint chords are the lattice lines m = x*dy - y*dx through a point
-    of {0..n}^2, at offsets t = m / |v|.  The values come from orbit_scan
-    on the board alone; see there.  The witness is the best segment of the
-    line best_segment picks, walked alone in exact integers.
+    of {0..n}^2, at offsets t = m / |v|.  The values come from one kernel
+    pass over the board alone (_passes), read off line by line
+    (_line_rows).  The witness is the best segment of the line best_segment
+    picks, walked alone in exact integers.
     """
-    ((_, out),) = orbit_scan(c, [(dx, dy)])
-    chord, top, bottom = out[:, 0]
+    ((_, flip, A, B, sums),) = _passes(c, [(dx, dy)])
+    rows = _line_rows(sums[:, 0], c.n, A, B)
+    chord, top, bottom = rows[:, ::-1] if flip[0] else rows
     dx, dy = _along_uperp(dx, dy)
     m = _lines(c.n, dx, dy)
     # the line m is the points m*w + k*v, with w.(dy, -dx) = 1
@@ -357,27 +360,43 @@ def lattice_scan(c: Coloring, dx: int, dy: int) -> OffsetScan:
     return OffsetScan(Direction.along(dx, dy), tie, m / ln, chord, top, bottom, Segment(a, b))
 
 
-def orbit_scan(c: Coloring, dirs):
-    """Chord, top and bottom per line of each lattice direction in `dirs`.
+def orbit_scan(c: Coloring, dirs) -> np.ndarray:
+    """The largest |chord| and prefix range of each lattice direction in `dirs`.
 
-    Groups `dirs` by dihedral orbit {(+-A, +-B), (+-B, +-A)}, A >= B >= 0,
-    in order of first appearance.  Each member v (signed to point along
-    uperp) and the board are carried by the signed permutation g with
-    g v = (A, B) (_onto), which keeps every piece of a step and their
-    order: one _lattice_core pass over the stack of moved boards serves
-    the whole orbit (or a few passes, past about n = 90, to keep each
-    stack within _STACK box points).  The lines come back by
-    m -> det(g)*m + const, reversed where det(g) = -1.  Every pass of the
-    scan works in one byte buffer, which at least doubles when a stack needs
-    more, so a scan grows it a few times, not once per orbit.  Each pass
-    views it at the dtype _sum_dtype picks for the orbit: whether the board
-    is integer is decided once per scan.
-
-    Yields, per orbit, the indices into `dirs` of its members and a
-    (3, len(indices), lines) array: row [:, k] equals the chord, top and
-    bottom of lattice_scan(c, *dirs[indices[k]]) bit for bit.  No
+    Returns a (2, len(dirs)) float64 array: row 0 holds each direction's
+    largest |chord integral| over its lines, row 1 its largest prefix range
+    (top - bottom).  One kernel pass serves each dihedral orbit of `dirs`
+    (a few past about n = 90; see _passes), and _box_maxima reads each
+    board's two maxima from the pass's box in a few whole-array calls, each
+    scaled once by |v|/den.  On an integer board they are exact integers K
+    times fl(|v|/den): the chord is lattice_scan's largest |chord| bit for
+    bit, and the range is fl(K * |v|/den), within one ulp of lattice_scan's
+    largest top - bottom, which rounds top and bottom apart.  On a real
+    board both lie within tie_tolerance of those.  No per-line rows, no
     witnesses.
     """
+    out = np.empty((2, len(dirs)))
+    for ks, _, A, B, sums in _passes(c, dirs):
+        out[:, ks] = _box_maxima(sums, A, B)
+    return out
+
+
+def _passes(c: Coloring, dirs):
+    # The kernel passes over the lattice directions `dirs`: per pass, the
+    # indices ks into `dirs` of its members, whether each is flipped, its
+    # orbit (A, B) and the box sums of _lattice_core, one board per member.
+    # `dirs` is grouped by dihedral orbit {(+-A, +-B), (+-B, +-A)}, A >= B
+    # >= 0, in order of first appearance.  Each member v (signed to point
+    # along uperp) and the board are carried by the signed permutation g
+    # with g v = (A, B) (_onto), which keeps every piece of a step and their
+    # order: one pass over the stack of moved boards serves the whole orbit
+    # (or a few passes, past about n = 90, to keep each stack within _STACK
+    # box points).  The lines come back by m -> det(g)*m + const, reversed
+    # where det(g) = -1 (flipped).  Every pass works in one byte buffer,
+    # which at least doubles when a stack needs more, so a scan grows it a
+    # few times, not once per orbit; a pass's sums are valid until the next
+    # pass.  Each pass views it at the dtype _sum_dtype picks for the orbit:
+    # whether the board is integer is decided once per scan.
     orbits: dict[tuple[int, int], list[int]] = {}
     for k, v in enumerate(dirs):
         orbits.setdefault(tuple(sorted(map(abs, v), reverse=True)), []).append(k)
@@ -394,13 +413,9 @@ def orbit_scan(c: Coloring, dirs):
             flip.append(det < 0)
         dtype = _sum_dtype(zmax * c.n * max(B, 1)) if integer else np.float64
         per = max(1, _STACK // ((c.n + A) * (c.n + B)))
-        parts = []
         for lo in range(0, len(boards), per):
-            part, ws = _lattice_core(boards[lo:lo + per], A, B, ws, dtype)
-            parts.append(part)
-        out = np.concatenate(parts, axis=1)
-        out[:, flip] = out[:, flip, ::-1]
-        yield ks, out
+            sums, ws = _lattice_core(boards[lo:lo + per], A, B, ws, dtype)
+            yield ks[lo:lo + per], flip[lo:lo + per], A, B, sums
 
 
 def _sum_dtype(bound: float):
@@ -451,25 +466,30 @@ def _lattice_core(boards, A: int, B: int, ws: np.ndarray, dtype):
     # carved from the byte buffer ws, viewed at dtype, or from one at least
     # twice its size made in its place when ws is too small.  Lengths are
     # integers in units of |v| / den, so on an integer board every sum is
-    # an integer until the one scaling at the end, and the sums run in
-    # dtype: float64, or an integer dtype that holds each of them.  They go
-    # back to float64 before that scaling, so every dtype that holds the
-    # sums gives the same bits.  Returns chord, top and bottom as a (3, K,
-    # lines) array, lines in the order of _lines, and the buffer.
+    # an integer, and the sums run in dtype: float64, or an integer dtype
+    # that holds each of them.  Returns acc, hi and lo as a (3, K, nx, ny)
+    # view of the buffer, in units of |v| / den (two read-offs, _line_rows
+    # and _box_maxima, scale what they read once, by _scaled), and the
+    # buffer.
     #
     # The bound: on integer boards with |z| <= Z, every value the pass
-    # stores is at most Z * n * max(B, 1) in magnitude, so orbit_scan picks
-    # dtype by _sum_dtype of that (Z at least 1, so that each l_q fits as
-    # well).  Every pad entry is a z or 0, and every tmp entry one z * l_q
-    # with l_q <= max(B, 1).  Every acc entry, during the piece loop and
-    # after the line stage, is a sum of z * l_q over pieces of one line;
-    # every hi and lo entry is 0 or one of those sums, or the max or min of
-    # some.  A piece adds a nonzero only if its cell is on the board, and
-    # then it lies in the strip 0 <= x <= n.  The pieces of one line are
-    # disjoint, and x grows along the line (A >= 1), so their x-extents add
-    # up to at most n.  A step spans den units and A in x, so those pieces
-    # hold at most n * den / A = n * max(B, 1) units, and each sum is at
-    # most Z times that.  The diagonal chord of a constant board meets it.
+    # stores, and every value a read-off forms, is at most Z * n * max(B,
+    # 1) in magnitude, so _passes picks dtype by _sum_dtype of that (Z
+    # at least 1, so that each l_q fits as well).  Every pad entry is a z or
+    # 0, and every tmp entry one z * l_q with l_q <= max(B, 1).  Every acc
+    # entry, during the piece loop and after the line stage, is a sum of z *
+    # l_q over pieces of one line; every hi and lo entry is 0 or one of
+    # those sums, or the max or min of some.  _box_maxima forms |acc| and hi
+    # - lo, where hi and lo are two prefixes of one line (0 is the empty
+    # one), so hi - lo is the sum over the run of pieces between them: a
+    # sum over pieces of one line too.  A piece adds a nonzero only if its
+    # cell is on the board, and then it lies in the strip 0 <= x <= n.  The
+    # pieces of one line are disjoint, and x grows along the line (A >= 1),
+    # so their x-extents add up to at most n.  A step spans den units and A
+    # in x, so those pieces hold at most n * den / A = n * max(B, 1) units,
+    # and each sum is at most Z times that.  On int16 that bound is below
+    # 2^15, so no |acc| or hi - lo wraps.  The diagonal chord of a constant
+    # board meets it.
     K, n = len(boards), boards[0].shape[0]
     # piece q of a step runs from keys[q] / den to keys[q + 1] / den of it
     # (the merge of i / A and j / B), over keys[q + 1] - keys[q] units; its
@@ -487,20 +507,18 @@ def _lattice_core(boards, A: int, B: int, ws: np.ndarray, dtype):
     ex, ey = int(ox.max()), int(oy.max())
     nx, ny = n + ex, n + ey
     size, box = K * (n + 2 * ex) * (n + 2 * ey), K * nx * ny
-    need = (size + 4 * box + 1) * np.dtype(dtype).itemsize
+    need = (size + 4 * box) * np.dtype(dtype).itemsize
     if ws.size < need:
         ws = np.empty(max(need, 2 * ws.size), dtype=np.uint8)
     buf = ws[:need].view(dtype)
-    buf[:size + 3 * box + 1] = 0
+    buf[:size + 3 * box] = 0
     pad = buf[:size].reshape(K, n + 2 * ex, n + 2 * ey)
     for k, board in enumerate(boards):
         pad[k, ex:ex + n, ey:ey + n] = board
-    # acc, hi and lo (hi, lo: 0 included), then a zero that stands for "no
-    # point", and tmp
-    flat = buf[size:size + 3 * box + 1]
-    sums = flat[:-1].reshape(3, K, nx, ny)
+    # acc, hi and lo (hi, lo: 0 included), then tmp
+    sums = buf[size:size + 3 * box].reshape(3, K, nx, ny)
     acc, hi, lo = sums
-    tmp = buf[size + 3 * box + 1:].reshape(K, nx, ny)
+    tmp = buf[size + 3 * box:].reshape(K, nx, ny)
     for i, j, w in zip(ox.tolist(), oy.tolist(), ell):
         piece = pad[:, i:i + nx, j:j + ny]
         acc += piece if w == 1 else np.multiply(piece, w, out=tmp)
@@ -510,8 +528,10 @@ def _lattice_core(boards, A: int, B: int, ws: np.ndarray, dtype):
     # Along the lines: each point's predecessor p - v lies one block of A
     # rows back.  Block by block, acc becomes the running sum through each
     # point (S plus its whole period) and hi and lo gain S; then, backward,
-    # each point takes the max (min) of its successor, so a line's top and
-    # bottom end at its first box point and its chord at its last.
+    # each point takes the max (min) of its successor.  So at each point hi
+    # and lo are the largest and smallest prefix of its line from S(p) to
+    # the line's end: a line's top and bottom end at its first box point,
+    # and its chord at its last.
     cols = ny - B
     blocks = [(s, min(s + A, nx)) for s in range(A, nx, A)]
     for s, e in blocks:
@@ -520,23 +540,65 @@ def _lattice_core(boards, A: int, B: int, ws: np.ndarray, dtype):
         back = (slice(None), slice(s - A, e - A), slice(0, cols))
         np.maximum(hi[back], hi[:, s:e, B:], out=hi[back])
         np.minimum(lo[back], lo[:, s:e, B:], out=lo[back])
+    return sums, ws
 
-    # lines p = m*w + k*v with w.(B, -A) = 1 through a point of {0..n}^2:
-    # the chord is acc at a line's last box point, top and bottom are hi
-    # and lo at its first, in every board; a line with no box point (first
-    # > last, where last may be -2^62: the max keeps int64 from wrapping)
-    # reads the zero
+
+def _scaled(sums: np.ndarray, A: int, B: int) -> np.ndarray:
+    # sums in units of |v| / den as lengths: back to float64 first, so every
+    # dtype that holds them gives the same bits, then one rounding each
+    out = sums.astype(np.float64, copy=False)
+    out *= math.sqrt(A * A + B * B) / (A * max(B, 1))
+    return out
+
+
+def _line_rows(sums: np.ndarray, n: int, A: int, B: int) -> np.ndarray:
+    # Chord, top and bottom of every line of _lines(n, A, B), ascending, as
+    # a (3, lines) array, from the box sums (acc, hi, lo) of one board.
+    # The lines are p = m*w + k*v with w.(B, -A) = 1 through a point of
+    # {0..n}^2: the chord is acc at a line's last box point, top and bottom
+    # are hi and lo at its first; a line with no box point (first > last,
+    # where last may be -2^62: the max keeps int64 from wrapping) reads 0.
+    _, nx, ny = sums.shape
+    ex, ey = nx - n, ny - n
     wx = pow(B, -1, A)
     wy = (wx * B - 1) // A
     m = _lines(n, A, B)
     first, last = _steps(m, (wx, wy), (A, B), (-ex, -ey), n - 1)
     at = np.stack([np.maximum(last, first), first, first]) * (A * ny + B)
     at += (m * wx + ex) * ny + m * wy + ey  # the line's step 0, in the box
-    at = np.arange(0, 3 * box, nx * ny).reshape(3, K, 1) + at[:, None]
-    at[:, :, first > last] = 3 * box
-    out = np.take(flat, at).astype(np.float64, copy=False)
-    out *= math.sqrt(A * A + B * B) / den
-    return out, ws
+    at += np.arange(0, 3 * nx * ny, nx * ny)[:, None]
+    none = first > last
+    at[:, none] = 0
+    rows = np.take(sums, at)
+    rows[:, none] = 0
+    return _scaled(rows, A, B)
+
+
+def _box_maxima(sums: np.ndarray, A: int, B: int) -> np.ndarray:
+    # The largest |chord| and the largest prefix range over the lines of
+    # each of the K boards of a pass, as a (2, K) array, from its box sums
+    # (acc, hi, lo; hi is overwritten).  A line's chord is acc at its last
+    # box point, the one whose successor p + v leaves the box: the far
+    # border, rows >= nx - A and columns >= ny - B (empty at B = 0, and at n
+    # = 1, where nx = A: hence initial=0, a floor under any |chord|).  After
+    # the line stage, hi - lo at a point is the prefix range of the suffix
+    # of its line from that point, which at the line's first box point is
+    # the line's top - bottom and elsewhere a part of it; so the box's
+    # largest hi - lo is the largest top - bottom.  The box also holds lines
+    # through no lattice point of {0..n}^2.  On the axes there are none
+    # (the box is the board's cells).  Off them such a line is the chord at
+    # an offset between two breakpoints, or one that misses the board and
+    # reads 0.  Between breakpoints the crossed cells stay the same, so the
+    # chord and each prefix at a crossing are linear in the offset, and
+    # they are continuous at the breakpoints; |chord| and the prefix range
+    # (a max of linear functions minus a min of them) are convex there, so
+    # such a line exceeds neither maximum of the breakpoint lines.
+    acc, hi, lo = sums
+    nx, ny = acc.shape[1:]
+    chord = np.maximum(np.absolute(acc[:, nx - A:]).max(axis=(1, 2)),
+                       np.absolute(acc[:, :nx - A, ny - B:]).max(axis=(1, 2), initial=0))
+    reach = np.subtract(hi, lo, out=hi).max(axis=(1, 2))
+    return _scaled(np.stack([chord, reach]), A, B)
 
 
 def _steps(m, w, v, lo, hi):

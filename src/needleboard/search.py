@@ -6,13 +6,14 @@ directions are the only candidates, carried as integer pairs: the search
 never rounds an angle.  best_chord / best_segment / scan_report evaluate
 the candidates, axes included, in one radon.orbit_scan call, which groups
 them by dihedral orbit: one kernel pass per orbit (every breakpoint chord
-from shifted board sums), all passes in one reused buffer, keeping only
-each direction's best chord and segment values.  Ties between
-directions go to the smaller angle, with radon's tie_tolerance.  Only the
-winning directions are scanned again, by radon.lattice_scan, for the
-witness chord and segment.  brute_force is the small-n oracle: it shares
-the enumeration of directions but evaluates every one of them through
-radon's scalar cell walk only.
+from shifted board sums), all passes in one reused buffer, and reads each
+direction's largest |chord| and prefix range straight from the pass's
+box, with no per-line rows.  Ties between directions go to the smaller
+angle, with radon's tie_tolerance.  Only the winning directions are
+scanned again, by radon.lattice_scan, for the witness chord and segment
+(once when one direction wins both).  brute_force is the small-n oracle:
+it shares the enumeration of directions but evaluates every one of them
+through radon's scalar cell walk only.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .geom import Segment
 from .radon import (
     Chord,
     Direction,
+    OffsetScan,
     _first_max,
-    _first_maxima,
     _walk_direction,
     lattice_scan,
     orbit_scan,
@@ -69,32 +70,25 @@ def default_angles(n: int) -> int:
 
 def _scan(c: Coloring, angles: int | None):
     # One serial pass over the budgeted lattice directions, one orbit_scan
-    # call over all of them: the directions and, per direction,
-    # the best chord and segment values that lattice_scan's best_chord and
-    # best_segment would report (the first line within tie of the maximum).
+    # call over all of them: the directions and, per direction, its largest
+    # |chord| and prefix range, read from the kernel's box.
     if angles is None:
         angles = default_angles(c.n)
     if angles < 1:
         raise ValueError(f"angle count must be at least 1, got {angles}")
     dirs = _lattice_directions(c.n, angles)
-    tie = tie_tolerance(c)
-    chord, seg = np.empty(len(dirs)), np.empty(len(dirs))
-    for ks, (ch, top, bottom) in orbit_scan(c, dirs):
-        chord[ks] = _first_maxima(np.abs(ch), tie)
-        seg[ks] = _first_maxima(top - bottom, tie)
+    chord, seg = orbit_scan(c, dirs)
     return dirs, chord, seg
 
 
-def _chord_winner(c: Coloring, dirs: list[tuple[int, int]], chord) -> tuple[Chord, float]:
-    # first max: ties across directions go to smaller theta; the witness
-    # comes from one lattice_scan of the winning direction
-    v = dirs[_first_max(chord, tie_tolerance(c))]
-    t, value = lattice_scan(c, *v).best_chord()
-    return Chord(Direction.along(*v), t), value
+def _winner(c: Coloring, dirs: list[tuple[int, int]], values) -> tuple[int, int]:
+    # first max: ties across directions go to smaller theta
+    return dirs[_first_max(values, tie_tolerance(c))]
 
 
-def _segment_winner(c: Coloring, dirs: list[tuple[int, int]], seg) -> tuple[Segment, float]:
-    return lattice_scan(c, *dirs[_first_max(seg, tie_tolerance(c))]).best_segment()
+def _chord(scan: OffsetScan) -> tuple[Chord, float]:
+    t, value = scan.best_chord()
+    return Chord(scan.direction, t), value
 
 
 def best_chord(c: Coloring, angles: int | None = None) -> tuple[Chord, float]:
@@ -102,17 +96,17 @@ def best_chord(c: Coloring, angles: int | None = None) -> tuple[Chord, float]:
 
     Scans the first `angles` primitive directions (shortest lattice vector
     first; all of them at the default budget, which makes the result exact)
-    and reports the winning offset of the winning direction.  Deterministic
-    for fixed inputs.
+    and reports the winning offset of the winning direction, from one
+    lattice_scan of it.  Deterministic for fixed inputs.
     """
     dirs, chord, _ = _scan(c, angles)
-    return _chord_winner(c, dirs, chord)
+    return _chord(lattice_scan(c, *_winner(c, dirs, chord)))
 
 
 def best_segment(c: Coloring, angles: int | None = None) -> tuple[Segment, float]:
     """Maximize |integral over any sub-segment|; same strategy as best_chord."""
     dirs, _, seg = _scan(c, angles)
-    return _segment_winner(c, dirs, seg)
+    return lattice_scan(c, *_winner(c, dirs, seg)).best_segment()
 
 
 def _report(n: int, chord: tuple[Chord, float], seg: tuple[Segment, float],
@@ -123,11 +117,16 @@ def _report(n: int, chord: tuple[Chord, float], seg: tuple[Segment, float],
 
 
 def scan_report(c: Coloring, angles: int | None = None) -> DiscrepancyReport:
-    """DiscrepancyReport from one lattice-direction scan (chords and segments)."""
+    """DiscrepancyReport from one lattice-direction scan (chords and segments).
+
+    A direction that wins both the chord and the segment is scanned once.
+    """
     dirs, chord, seg = _scan(c, angles)
+    vc, vs = _winner(c, dirs, chord), _winner(c, dirs, seg)
+    sc = lattice_scan(c, *vc)
+    ss = sc if vs == vc else lattice_scan(c, *vs)
     used = angles if angles is not None else default_angles(c.n)
-    return _report(c.n, _chord_winner(c, dirs, chord), _segment_winner(c, dirs, seg),
-                   SearchStrategy(used, False))
+    return _report(c.n, _chord(sc), ss.best_segment(), SearchStrategy(used, False))
 
 
 def _lattice_directions(n: int, budget: int | None = None) -> list[tuple[int, int]]:

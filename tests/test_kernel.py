@@ -19,16 +19,22 @@ chord, top and bottom are integers times fl(|v|/den), and both witness ends
 are the exact rationals of an integer walk of the winning line, each
 rounded once; every witness end lies on the board, at lattice directions
 and at generic angles.  orbit_scan, the search's batched call of the same
-kernel, is checked against lattice_scan bit for bit, with a shuffled subset
-of a board's directions in one call (orbits cut as a budget cuts them, one
-reused buffer) and at n = 96, where an orbit's boards split into two
-stacks.  On integer boards (strategies.integer_boards, |z| up to 2^40)
-every kernel pass at the dtype orbit_scan picks (int16, int32 or float64)
-gives the bytes of the same pass in float64, at n 1-12 over every
-direction and at n = 100 where one scan mixes int16 and int32 orbits; the
-float64 pass never stores a value above the bound that picked the dtype,
-constant boards meet that bound, and boards whose bound sits just below
-and at 2^15 get int16 and int32.
+kernel, reads only each direction's largest |chord| and prefix range from
+the kernel's box; each is checked against the maximum over lattice_scan's
+rows (strategies.row_maxima): bit for bit on integer boards, the range as
+the rows' largest integer range scaled once, and within tie_tolerance on
+real ones.  That runs with a shuffled subset of a board's directions in one
+call (orbits cut as a budget cuts them, one reused buffer), with every
+direction of +-1, real and integer boards, at n = 96, where an orbit's
+boards split into two stacks, and at n = 100.  On integer boards
+(strategies.integer_boards, |z| up to 2^40) every kernel pass at the
+dtype orbit_scan picks (int16, int32 or float64) holds the values of the
+same pass in float64, and the maxima are the float64 ones byte for byte,
+at n 1-12 over every direction and at n = 100 where one scan mixes int16
+and int32 orbits; the float64 pass never stores or reads off (|chord|, hi
+- lo) a value above the bound that picked the dtype, constant boards meet
+that bound, and boards whose bound sits just below and at 2^15 get int16
+and int32, whose prefix range reaches 2^15 - 1.
 """
 
 import math
@@ -56,7 +62,7 @@ from needleboard.radon import (
     project,
 )
 from needleboard.search import _lattice_directions, brute_force, scan_report
-from strategies import boards, integer_boards
+from strategies import assert_row_maxima, boards, integer_boards
 
 _GAP = 1e-3  # generic angles keep this distance from 0, pi/2 and pi
 
@@ -342,37 +348,23 @@ def orbit_cases(draw):
     return c, dirs[:rnd.randint(1, len(dirs))]
 
 
-@settings(max_examples=60)
-@given(orbit_cases())
 # at n = 96 a 4-member orbit of these long vectors splits into stacks of 3
 # and 1 boards, and the short orbits between them shrink the box
-@example((make_random(96, seed=9), [(10, 1), (-1, 10), (1, 0), (1, 10), (-7, 3), (3, 7),
-                                    (-10, 1), (7, 3), (1, 1), (-3, 7), (-1, 1), (9, 2),
-                                    (-2, 9), (2, 9), (-9, 2)]))
+_STACK_SPLIT = (make_random(96, seed=9), [(10, 1), (-1, 10), (1, 0), (1, 10), (-7, 3), (3, 7),
+                                          (-10, 1), (7, 3), (1, 1), (-3, 7), (-1, 1), (9, 2),
+                                          (-2, 9), (2, 9), (-9, 2)])
+
+
+@settings(max_examples=60)
+@given(orbit_cases())
+@example(_STACK_SPLIT)
 def test_orbit_scan_equals_lattice_scan_bit_for_bit(case):
-    # bit identity, not closeness: the search's tie rule across directions
-    # and every report rest on it; all directions go to one orbit_scan call,
-    # and its orbits name each of them exactly once
+    # all directions go to one orbit_scan call, and each one's maxima are
+    # its lattice_scan rows' (strategies.row_maxima): bit for bit on
+    # integer boards, which the search's tie rule across directions and
+    # every report rest on, and within the tie on real ones
     c, dirs = case
-    seen = []
-    for ks, out in orbit_scan(c, dirs):
-        assert out.shape[1] == len(ks)
-        for k, i in enumerate(ks):
-            scan = lattice_scan(c, *dirs[i])
-            assert np.array_equal(out[0, k], scan.chord)
-            assert np.array_equal(out[1, k], scan.top)
-            assert np.array_equal(out[2, k], scan.bottom)
-        seen += ks
-    assert sorted(seen) == list(range(len(dirs)))
-
-
-@st.composite
-def integer_orbit_cases(draw):
-    # an integer board and all its lattice directions, shuffled
-    c = draw(integer_boards())
-    dirs = _lattice_directions(c.n)
-    draw(st.randoms(use_true_random=False)).shuffle(dirs)
-    return c, dirs
+    assert_row_maxima(c, dirs, orbit_scan(c, dirs))
 
 
 def _mixed_board(n: int, z: int) -> Coloring:
@@ -382,88 +374,125 @@ def _mixed_board(n: int, z: int) -> Coloring:
     return Coloring(n, cells)
 
 
-@settings(max_examples=60)
-@given(integer_orbit_cases())
-# z = 300 at n = 12: orbits with B <= 9 sum in int16, B >= 10 in int32
-@example((_mixed_board(12, 300), [(1, 1), (11, 10), (2, 1), (-10, 11), (1, 0), (12, 11)]))
 # z = 5 at n = 100: B <= 65 in int16 (the bound is 32,500), B >= 66 in
 # int32; the long orbits run one board per pass, and the scan's buffer
 # switches dtype at every orbit
-@example((_mixed_board(100, 5), [(1, 1), (67, 66), (65, 64), (-70, 97), (1, 0), (-66, 67),
-                                 (99, 65), (97, 70), (-1, 1), (100, 99), (-64, 65)]))
+_INT16_INT32 = (_mixed_board(100, 5), [(1, 1), (67, 66), (65, 64), (-70, 97), (1, 0), (-66, 67),
+                                       (99, 65), (97, 70), (-1, 1), (100, 99), (-64, 65)])
+
+
+@st.composite
+def every_direction_cases(draw, board):
+    # a board and all its lattice directions, shuffled
+    c = draw(board)
+    dirs = _lattice_directions(c.n)
+    draw(st.randoms(use_true_random=False)).shuffle(dirs)
+    return c, dirs
+
+
+@settings(max_examples=60)
+@given(every_direction_cases(boards() | integer_boards()))
+@example(_STACK_SPLIT)
+@example(_INT16_INT32)
+def test_orbit_maxima_are_the_lattice_rows_maxima_at_every_direction(case):
+    # every member of every orbit, on +-1, tie-heavy, real and integer
+    # boards (|z| up to 2^40): orbit_scan's maxima are the lattice_scan
+    # rows' (strategies.row_maxima), and no line in the box outside them,
+    # nor any box point inside a line, beats them
+    c, dirs = case
+    assert_row_maxima(c, dirs, orbit_scan(c, dirs))
+
+
+@settings(max_examples=60)
+@given(every_direction_cases(integer_boards()))
+# z = 300 at n = 12: orbits with B <= 9 sum in int16, B >= 10 in int32
+@example((_mixed_board(12, 300), [(1, 1), (11, 10), (2, 1), (-10, 11), (1, 0), (12, 11)]))
+@example(_INT16_INT32)
 def test_integer_sums_equal_float64_sums_bit_for_bit(case):
-    # every _lattice_core pass at the dtype orbit_scan picks gives the bytes
-    # of the same pass at float64, and orbit_scan stays lattice_scan's
+    # every _lattice_core pass at the dtype orbit_scan picks gives the
+    # values of the same pass at float64, orbit_scan's maxima the bytes of
+    # those at float64, and they stay the lattice_scan rows'
     c, dirs = case
     core = radon._lattice_core
 
     def both(boards, A, B, ws, dtype):
-        out, ws = core(boards, A, B, ws, dtype)
+        sums, ws = core(boards, A, B, ws, dtype)
         want, _ = core(boards, A, B, np.empty(0, np.uint8), np.float64)
-        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
-        return out, ws
+        assert want.dtype == np.float64
+        assert sums.astype(np.float64).tobytes() == want.tobytes()
+        return sums, ws
 
     with mock.patch.object(radon, "_lattice_core", both):
-        scans = list(orbit_scan(c, dirs))
-    for ks, out in scans:
-        for k, i in enumerate(ks):
-            scan = lattice_scan(c, *dirs[i])
-            assert out[:, k].tobytes() == np.stack([scan.chord, scan.top, scan.bottom]).tobytes()
+        maxima = orbit_scan(c, dirs)
+    with mock.patch.object(radon, "_sum_dtype", lambda bound: np.float64):
+        assert maxima.tobytes() == orbit_scan(c, dirs).tobytes()
+    assert_row_maxima(c, dirs, maxima)
 
 
 class _Watch:
-    # numpy for radon, recording the largest magnitude in the float arrays
-    # that np.maximum, np.minimum and np.multiply read or write (the int64
-    # line indices of _steps are not sums)
+    # numpy for radon, recording the largest magnitude in the integer and
+    # float arrays that the ufuncs below read or write (the piece loop, the
+    # line stage and _box_maxima), and per call the ufunc, its output's
+    # dtype and largest magnitude
+    UFUNCS = ("maximum", "minimum", "multiply", "subtract", "absolute")
+
     def __init__(self):
         self.peak = 0.0
+        self.calls = []
 
     def _see(self, *arrays):
+        peak = 0.0
         for a in arrays:
-            if isinstance(a, np.ndarray) and a.dtype.kind == "f" and a.size:
-                self.peak = max(self.peak, float(np.abs(a).max()))
+            if isinstance(a, np.ndarray) and a.dtype.kind in "if" and a.size:
+                peak = max(peak, float(np.abs(a).max()))
+        self.peak = max(self.peak, peak)
+        return peak
 
     def __getattr__(self, name):
         f = getattr(np, name)
-        if name not in ("maximum", "minimum", "multiply"):
+        if name not in self.UFUNCS:
             return f
 
         def watched(*args, **kwargs):
             self._see(*args)
             out = f(*args, **kwargs)
-            self._see(out)
+            self.calls.append((name, out.dtype.name, self._see(out)))
             return out
         return watched
 
 
 def _peaks(c, dirs):
     # Per orbit of orbit_scan(c, dirs): the bound that picked its dtype,
-    # and the largest magnitude its passes store when they run at float64.
-    # That is every value the watched calls read or write (each piece's
-    # tmp, each acc of the piece loop, each hi and lo before and after a
-    # max or min) and every entry of the buffer at the end (the line
-    # stage's acc); the buffer starts zeroed and large enough that the
-    # pass makes no other.
-    pick, core, peaks = radon._sum_dtype, radon._lattice_core, []
+    # and the largest magnitude its passes store or read off when they run
+    # at float64.  That is every value the watched calls read or write
+    # (each piece's tmp, each acc of the piece loop, each hi and lo before
+    # and after a max or min, and the read-off's |acc| and hi - lo) and
+    # every entry of the buffer at the end of the pass (the line stage's
+    # acc); the buffer starts zeroed and large enough that the pass makes no
+    # other.  orbit_scan reads an orbit's passes off before it picks the
+    # next orbit's dtype.
+    pick, core, watch, peaks = radon._sum_dtype, radon._lattice_core, _Watch(), []
 
     def sum_dtype(bound):
+        if peaks:
+            peaks[-1][1] = watch.peak
+        watch.peak = 0.0
         peaks.append([bound, 0.0])
         return pick(bound)
 
     def float_core(boards, A, B, ws, dtype):
         n = boards[0].shape[0]
-        buf = np.zeros(5 * len(boards) * (n + 2 * A) * (n + 2 * B) + 1)
-        watch = _Watch()
-        with mock.patch.object(radon, "np", watch):
-            out, ws = core(boards, A, B, buf.view(np.uint8), np.float64)
+        buf = np.zeros(5 * len(boards) * (n + 2 * A) * (n + 2 * B))
+        sums, ws = core(boards, A, B, buf.view(np.uint8), np.float64)
         assert ws.base is buf
-        peaks[-1][1] = max(peaks[-1][1], watch.peak, float(np.abs(buf).max()))
-        return out, ws
+        watch._see(buf)
+        return sums, ws
 
     with mock.patch.object(radon, "_sum_dtype", sum_dtype), \
-            mock.patch.object(radon, "_lattice_core", float_core):
-        for _ in orbit_scan(c, dirs):
-            pass
+            mock.patch.object(radon, "_lattice_core", float_core), \
+            mock.patch.object(radon, "np", watch):
+        orbit_scan(c, dirs)
+    peaks[-1][1] = watch.peak
     return peaks
 
 
@@ -489,20 +518,21 @@ def test_kernel_sums_stay_within_the_bound_that_picks_their_dtype(n):
     (make_constant(8, 4096.5), [(1, 1)], ["float64"]),
 ])
 def test_sums_at_the_int16_edge_pick_int16_below_it_and_int32_at_it(c, dirs, want):
-    # the int16 board reaches 2^15 - 1 on its diagonal and still gives the
-    # float64 bytes
-    core, got = radon._lattice_core, []
+    # the int16 board reaches 2^15 - 1 on its diagonal, in its chord and in
+    # the read-off's hi - lo, and still gives the float64 bytes
+    core, got, watch = radon._lattice_core, [], _Watch()
 
     def spy(boards, A, B, ws, dtype):
         got.append(np.dtype(dtype).name)
         return core(boards, A, B, ws, dtype)
 
-    with mock.patch.object(radon, "_lattice_core", spy):
-        scans = list(orbit_scan(c, dirs))
+    with mock.patch.object(radon, "_lattice_core", spy), mock.patch.object(radon, "np", watch):
+        maxima = orbit_scan(c, dirs)
     assert got == want
+    ranges = [(dtype, peak) for name, dtype, peak in watch.calls if name == "subtract"]
+    assert ranges[0] == (want[0], abs(c.cells[0, 0]) * c.n)
     with mock.patch.object(radon, "_sum_dtype", lambda bound: np.float64):
-        assert [out.tobytes() for _, out in scans] == [
-            out.tobytes() for _, out in orbit_scan(c, dirs)]
+        assert maxima.tobytes() == orbit_scan(c, dirs).tobytes()
     chord = lattice_scan(c, 1, 1).chord
     assert np.abs(chord).max() == abs(c.cells[0, 0]) * c.n * math.sqrt(2)
 
@@ -513,4 +543,4 @@ def test_lattice_scan_rejects_non_primitive_vectors():
         with pytest.raises(ValueError, match=rf"\({v[0]}, {v[1]}\)"):
             lattice_scan(c, *v)
     with pytest.raises(ValueError):
-        list(orbit_scan(c, [(2, 2)]))
+        orbit_scan(c, [(2, 2)])
